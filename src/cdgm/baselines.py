@@ -3,7 +3,9 @@
 Each node is regressed on all others over a descending penalty grid; the
 per-penalty coefficient matrices form a path of candidate graphs. The
 method has no covariate dependence, so a single graph (per cluster, when
-cluster labels are supplied) applies to every sample.
+cluster labels are supplied) applies to every sample. All regressions
+share one Gram matrix and advance together in one coordinate-descent
+kernel (covariance updates, Friedman, Hastie & Tibshirani 2010, 2.2).
 """
 
 from __future__ import annotations
@@ -18,70 +20,73 @@ from .errors import ShapeMismatch
 from .graphops import symmetric_scores
 
 
-def soft_threshold(v: float, lam: float) -> float:
-    if v > lam:
-        return v - lam
-    if v < -lam:
-        return v + lam
-    return 0.0
+def soft_threshold(v, lam):
+    """Elementwise sign(v) * max(|v| - lam, 0), exactly zero inside [-lam, lam]."""
+    return v - np.minimum(np.maximum(v, -lam), lam)
+
+
+def _kkt_residual(grad, b, lam) -> np.ndarray:
+    """Largest stationarity violation per column of ``b``; ``grad`` is corr - G b."""
+    viol = np.where(b != 0, np.abs(grad - np.copysign(lam, b)),
+                    np.maximum(np.abs(grad) - lam, 0.0))
+    return viol.max(axis=0, initial=0.0)
+
+
+def _coordinate_descent(gram, corr, b, lam, tol: float,
+                        max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic coordinate descent on a stack of lasso problems sharing ``gram``.
+
+    Column r of ``b`` (d, m) minimizes b'Gb/2 - corr[:, r]'b + sum_c lam[c, r] |b[c, r]|;
+    ``lam`` is a scalar or (d, m), and an infinite penalty pins its coefficient at zero.
+    Sweeps visit coordinates 0..d-1 in order, updating all unfinished
+    columns at once; a column is frozen after a sweep that moved no
+    coefficient by ``tol`` or more and left its KKT residual <= 1e-8.
+    Returns (b, converged per column).
+    """
+    b = np.array(b, dtype=np.float64)
+    lam = np.broadcast_to(lam, b.shape)
+    diag = np.diag(gram)
+    todo = np.arange(b.shape[1])
+    for _ in range(max_iter):
+        start, cw, lw = b[:, todo], corr[:, todo], lam[:, todo]
+        bw = start.copy()  # each coordinate moves once per sweep, from start
+        for c, gcc in enumerate(diag):
+            if gcc > 0.0:
+                bw[c] = soft_threshold(cw[c] - gram[c] @ bw + gcc * start[c], lw[c]) / gcc
+        b[:, todo] = bw
+        kkt = _kkt_residual(cw - gram @ bw, bw, lw)
+        done = (np.abs(bw - start).max(axis=0) < tol) & (kkt <= 1e-8)
+        todo = todo[~done]
+        if len(todo) == 0:
+            break
+    return b, ~np.isin(np.arange(b.shape[1]), todo)
 
 
 def lasso_cd(x_design, y, lam: float, tol: float = 1e-10, max_iter: int = 100_000,
              warm_start=None) -> tuple[np.ndarray, bool]:
     """Minimize (1/2n)||y - Xb||^2 + lam ||b||_1 by cyclic coordinate descent.
 
-    Sweeps run until the largest coefficient change drops below ``tol``,
-    then the KKT stationarity residual is polished below 1e-8 if further
-    sweeps are allowed. Returns (coefficients, converged); when the sweep
-    budget is exhausted the best iterate comes back flagged False.
+    The one-column case of the shared kernel, with its stopping rule.
+    Returns (coefficients, converged); when ``max_iter`` sweeps run out the
+    last iterate comes back flagged False.
     """
-    x = np.asarray(x_design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x_design, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ShapeMismatch(f"bad design {x.shape} / target {y.shape}")
     if lam < 0:
         raise ShapeMismatch("penalty must be nonnegative")
     n, d = x.shape
-    gram = x.T @ x / n
-    corr = x.T @ y / n
-    diag = np.diag(gram).copy()
-    b = np.zeros(d) if warm_start is None else np.array(warm_start, dtype=np.float64)
-
-    def kkt_residual(bvec):
-        grad = corr - gram @ bvec
-        active = bvec != 0
-        viol = np.maximum(np.abs(grad[~active]) - lam, 0.0)
-        viol_active = np.abs(grad[active] - lam * np.sign(bvec[active]))
-        return max(viol.max(initial=0.0), viol_active.max(initial=0.0))
-
-    sweeps = 0
-    while sweeps < max_iter:
-        max_delta = 0.0
-        for k in range(d):
-            if diag[k] <= 0.0:
-                continue
-            old = b[k]
-            rho = corr[k] - gram[k] @ b + diag[k] * old
-            b[k] = soft_threshold(rho, lam) / diag[k]
-            delta = abs(b[k] - old)
-            if delta > max_delta:
-                max_delta = delta
-        sweeps += 1
-        if max_delta < tol and kkt_residual(b) <= 1e-8:
-            return b, True
-    return b, False
+    b = np.zeros(d) if warm_start is None else warm_start
+    b, converged = _coordinate_descent(x.T @ x / n, (x.T @ y / n)[:, None],
+                                       np.reshape(b, (d, 1)), lam, tol, max_iter)
+    return b[:, 0], bool(converged[0])
 
 
 def kkt_violation(x_design, y, b, lam: float) -> float:
     """Largest stationarity violation of the lasso optimality conditions."""
-    x = np.asarray(x_design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    grad = x.T @ (y - x @ b) / x.shape[0]
-    active = b != 0
-    inactive_viol = np.maximum(np.abs(grad[~active]) - lam, 0.0)
-    active_viol = np.abs(grad[active] - lam * np.sign(b[active]))
-    return max(inactive_viol.max(initial=0.0), active_viol.max(initial=0.0))
+    x, b = np.asarray(x_design, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    grad = x.T @ (np.asarray(y, dtype=np.float64) - x @ b) / x.shape[0]
+    return float(_kkt_residual(grad[:, None], b[:, None], lam)[0])
 
 
 @dataclass
@@ -90,6 +95,7 @@ class LassoPath:
 
     lambdas: np.ndarray
     graphs: list[np.ndarray]
+    nonconverged: int = 0  # (node, penalty) fits that ran out of sweeps
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=np.float64)
@@ -112,7 +118,8 @@ def nodewise_lasso_graphs(x, lambdas=None, n_lambdas: int = 50,
     Columns are scaled to unit root-mean-square internally and the
     coefficients are unscaled on return. The grid defaults to 50
     log-spaced values from the smallest penalty that zeroes every
-    regression down to 0.001 of it.
+    regression down to 0.001 of it. The p fits run as one stack on the
+    Gram matrix of the scaled columns.
     """
     x = np.asarray(x, dtype=np.float64)
     n, p = x.shape
@@ -123,24 +130,21 @@ def nodewise_lasso_graphs(x, lambdas=None, n_lambdas: int = 50,
     xs = x / scale
 
     if lambdas is None:
-        lam_max = 0.0
-        for j in range(p):
-            others = np.delete(np.arange(p), j)
-            lam_max = max(lam_max, np.max(np.abs(xs[:, others].T @ xs[:, j])) / n)
+        lam_max = max(np.max(np.abs(xs[:, np.arange(p) != j].T @ xs[:, j])) / n
+                      for j in range(p))
         lambdas = lambda_grid(lam_max, n_lambdas, lambda_min_ratio)
     lambdas = np.asarray(lambdas, dtype=np.float64)
 
-    graphs = [np.zeros((p, p)) for _ in lambdas]
-    for j in range(p):
-        others = np.delete(np.arange(p), j)
-        design = xs[:, others]
-        target = xs[:, j]
-        b = np.zeros(p - 1)
-        for li, lam in enumerate(lambdas):
-            b, _ = lasso_cd(design, target, lam, tol=tol, max_iter=max_iter, warm_start=b)
-            # unscale: coefficients on the original columns of x
-            graphs[li][j, others] = b * scale[j] / scale[others]
-    return LassoPath(lambdas=lambdas, graphs=graphs)
+    gram = xs.T @ xs / n
+    b = np.zeros((p, p))  # column j: node j's coefficients
+    graphs, nonconverged = [], 0
+    for lam in lambdas:
+        penalty = np.where(np.eye(p, dtype=bool), np.inf, lam)  # no self-regression
+        b, converged = _coordinate_descent(gram, gram, b, penalty, tol, max_iter)
+        nonconverged += int(np.count_nonzero(~converged))
+        # unscale: coefficients on the original columns of x, node j in row j
+        graphs.append(b.T * scale[:, None] / scale[None, :])
+    return LassoPath(lambdas=lambdas, graphs=graphs, nonconverged=nonconverged)
 
 
 def write_path_csv(path: LassoPath, out_file) -> None:
@@ -154,37 +158,30 @@ def write_path_csv(path: LassoPath, out_file) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def best_over_path(path: LassoPath, truth, metric="auroc",
-                   score_method: str = "min") -> tuple[float, float]:
+def best_over_path(path: LassoPath, truth, metric="auroc", score_method: str = "min",
+                   per_sample: bool = False):
     """Best metric value along the path; ties go to the larger penalty.
 
     ``truth`` is either one boolean skeleton or a list of per-sample
-    skeletons to average over. ``metric`` is 'auroc', 'auprc', or a
-    callable (scores, labels) -> float.
+    skeletons to average over; the value at a penalty is the mean of the
+    per-sample values, each distinct skeleton scored once. ``metric`` is
+    'auroc', 'auprc', or a callable (scores, labels) -> float. Returns
+    (penalty, value), plus the per-sample values at that penalty when
+    ``per_sample`` is set.
     """
     if len(path.graphs) == 0:
         raise ShapeMismatch("empty path")
-    if callable(metric):
-        fn = metric
-    else:
-        fn = {"auroc": metrics_mod.auroc, "auprc": metrics_mod.auprc}[metric]
-    truths = [truth] if isinstance(truth, np.ndarray) and truth.ndim == 2 else list(truth)
-    p = truths[0].shape[0]
-    iu = np.triu_indices(p, k=1)
-    label_vecs = [np.asarray(t).astype(bool)[iu] for t in truths]
-
-    best_lam, best_val = None, -np.inf
+    fn = metric if callable(metric) else {"auroc": metrics_mod.auroc,
+                                          "auprc": metrics_mod.auprc}[metric]
+    truths = np.asarray(truth, dtype=bool)
+    iu = np.triu_indices(truths.shape[-1], k=1)
+    patterns, inverse = metrics_mod.distinct_rows(np.atleast_2d(truths[..., iu[0], iu[1]]))
+    best_lam, best_val, best_vals = None, -np.inf, None
     for lam, w in zip(path.lambdas, path.graphs):
         scores = symmetric_scores(w, method=score_method)[iu]
-        # identical labels give identical values; group to avoid rescoring
-        groups = {}
-        for vec in label_vecs:
-            key = vec.tobytes()
-            if key not in groups:
-                groups[key] = [vec, 0]
-            groups[key][1] += 1
-        total = math.fsum(fn(scores, vec) * count for vec, count in groups.values())
-        val = total / len(label_vecs)
+        distinct = [fn(scores, vec) for vec in patterns]
+        vals = [distinct[k] for k in inverse]
+        val = math.fsum(vals) / len(vals)
         if val > best_val:
-            best_lam, best_val = float(lam), val
-    return best_lam, best_val
+            best_lam, best_val, best_vals = float(lam), val, vals
+    return (best_lam, best_val, best_vals) if per_sample else (best_lam, best_val)

@@ -480,12 +480,12 @@ def _draw_sample(spec: SettingSpec, rng: SeededRng) -> tuple[np.ndarray, np.ndar
             )
             return z, x, resamples
         weights, _ = covariate_to_weights(spec, z)
-        theta = mix_precision(weights, spec.candidates)
         try:
-            low = cholesky(theta)
+            low = cholesky(mix_precision(weights, spec.candidates))
         except NotPositiveDefinite:
             # G2's middle branch can produce a negative third weight and an
-            # indefinite mix; redraw the covariate within the same stream.
+            # indefinite mix, which mix_precision rejects; redraw the
+            # covariate within the same stream.
             resamples += 1
             continue
         u = gen.standard_normal(spec.p)

@@ -152,7 +152,7 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
     """Cluster-partitioned penalty-path baseline, scored on training samples."""
     Xtr, Ztr = ds.part("train")
     labels = datagen.cluster_labels(ds.spec, Ztr)
-    truths = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
+    truths = np.stack(truth_vectors(ds.spec, Ztr, cfg.pseudo_moral))
     p = ds.spec.p
     iu = np.triu_indices(p, k=1)
     opts = dict(cfg.lasso)
@@ -167,36 +167,27 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
     for k in tau_keys:
         per_sample[k] = np.empty(len(Xtr))
     best_lambdas = {}
+    nonconverged = 0
 
     for cluster in sorted(set(labels.tolist())):
         members = np.nonzero(labels == cluster)[0]
         path = baselines.nodewise_lasso_graphs(
             Xtr[members], n_lambdas=n_lambdas, lambda_min_ratio=min_ratio,
             tol=tol, max_iter=max_iter)
+        nonconverged += path.nonconverged
         if export_paths:
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             baselines.write_path_csv(path, out / f"lasso_path_cluster{cluster}.csv")
-        cluster_truths = [truths[i] for i in members]
-        cluster_skels = []
-        for vec in cluster_truths:
-            full = np.zeros((p, p), dtype=bool)
-            full[iu] = vec
-            cluster_skels.append(full | full.T)
+        # every member shares the path, so each distinct truth is scored once
+        patterns, inverse = metrics.distinct_rows(truths[members])
+        skels = np.zeros((len(patterns), p, p), dtype=bool)
+        skels[:, iu[0], iu[1]] = patterns
+        skels |= skels.transpose(0, 2, 1)
 
         for metric_name in ("auroc", "auprc"):
-            fn = {"auroc": metrics.auroc, "auprc": metrics.auprc}[metric_name]
-
-            def per_lambda_values(w):
-                scores = graphops.symmetric_scores(w)[iu]
-                return _grouped_rank_metric(fn, [scores] * len(members), cluster_truths)
-
-            best_val, best_lam, best_vals = -np.inf, None, None
-            for lam, w in zip(path.lambdas, path.graphs):
-                vals = per_lambda_values(w)
-                mean_val = math.fsum(vals) / len(vals)
-                if mean_val > best_val:
-                    best_val, best_lam, best_vals = mean_val, float(lam), vals
+            best_lam, _, best_vals = baselines.best_over_path(
+                path, skels[inverse], metric=metric_name, per_sample=True)
             per_sample[metric_name][members] = best_vals
             best_lambdas[f"{metric_name}_cluster{cluster}"] = best_lam
             if metric_name == "auroc":
@@ -208,13 +199,14 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
             g_norm = auroc_graph
         for tau in cfg.thresholds:
             pred = graphops.threshold_and(g_norm, tau)
-            pairs = [metrics.f1_ba(pred, skel) for skel in cluster_skels]
-            per_sample[f"f1@{tau:g}"][members] = [v[0] for v in pairs]
-            per_sample[f"ba@{tau:g}"][members] = [v[1] for v in pairs]
+            pairs = np.array([metrics.f1_ba(pred, skel) for skel in skels])[inverse]
+            per_sample[f"f1@{tau:g}"][members] = pairs[:, 0]
+            per_sample[f"ba@{tau:g}"][members] = pairs[:, 1]
 
     return {
         "per_sample": {k: v.tolist() for k, v in per_sample.items()},
         "best_lambdas": best_lambdas,
+        "lasso_nonconverged": nonconverged,
     }
 
 

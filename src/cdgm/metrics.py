@@ -88,6 +88,15 @@ def f1_ba(predicted, truth) -> tuple[float, float]:
     return f1, (sens + spec) / 2.0
 
 
+def distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in first-seen order, and the index of
+    each row among them, so that each distinct case is scored once."""
+    rows = np.asarray(rows)
+    slot: dict[bytes, int] = {}
+    inverse = np.array([slot.setdefault(r.tobytes(), len(slot)) for r in rows], dtype=np.intp)
+    return rows[np.unique(inverse, return_index=True)[1]], inverse
+
+
 def _fmean(values) -> float:
     values = list(values)
     return math.fsum(values) / len(values)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,12 @@ def test_soft_threshold():
     assert baselines.soft_threshold(2.0, 0.5) == 1.5
     assert baselines.soft_threshold(-2.0, 0.5) == -1.5
     assert baselines.soft_threshold(0.3, 0.5) == 0.0
+
+
+def test_soft_threshold_vectorized_exact_zeros():
+    out = baselines.soft_threshold(np.array([2.0, -2.0, 0.3, -0.5, -0.2]), 0.5)
+    assert np.array_equal(out, [1.5, -1.5, 0.0, 0.0, 0.0])
+    assert not np.signbit(out[2:]).any()  # no negative zeros in exported paths
 
 
 def test_lasso_null_model_above_lambda_max():
@@ -173,3 +181,91 @@ def test_write_path_csv(tmp_path):
     assert lines[0].startswith("lambda,w_0_0,w_0_1")
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0.4"
+
+
+def _scalar_lasso_cd(x, y, lam, b, tol=1e-10):
+    """Reference: one regression, one coordinate at a time, same stopping rule."""
+    n = len(y)
+    gram, corr, b = x.T @ x / n, x.T @ y / n, b.copy()
+    for _ in range(100_000):
+        max_delta = 0.0
+        for k in range(len(b)):
+            old = b[k]
+            rho = corr[k] - gram[k] @ b + gram[k, k] * old
+            b[k] = np.sign(rho) * max(abs(rho) - lam, 0.0) / gram[k, k]
+            max_delta = max(max_delta, abs(b[k] - old))
+        if max_delta < tol and baselines.kkt_violation(x, y, b, lam) <= 1e-8:
+            return b
+    raise AssertionError("reference coordinate descent did not converge")
+
+
+def test_stacked_path_matches_scalar_reference():
+    # every node's path equals the one-regression loop, up to summation order
+    theta = datagen.banded_precision(7, 2, 1.0, 0.3)
+    x = sample_from_precision(theta, 300, SeededRng(12, 0))
+    path = baselines.nodewise_lasso_graphs(x, n_lambdas=10)
+    scale = np.sqrt(np.mean(x * x, axis=0))
+    xs = x / scale
+    for j in range(7):
+        others = np.delete(np.arange(7), j)
+        design, target = xs[:, others], xs[:, j]
+        ref = cd = np.zeros(6)
+        for lam, w in zip(path.lambdas, path.graphs):
+            ref = _scalar_lasso_cd(design, target, lam, ref)
+            cd, converged = baselines.lasso_cd(design, target, lam, warm_start=cd)
+            assert converged
+            assert np.abs(cd - ref).max() < 1e-12
+            assert np.abs(w[j, others] - ref * scale[j] / scale[others]).max() < 1e-12
+            assert w[j, j] == 0.0
+
+
+def test_nodewise_counts_nonconverged_regressions():
+    x = sample_from_precision(datagen.banded_precision(6, 1, 1.0, 0.4), 300, SeededRng(13, 0))
+    assert baselines.nodewise_lasso_graphs(x, n_lambdas=8).nonconverged == 0
+    capped = baselines.nodewise_lasso_graphs(x, n_lambdas=8, max_iter=1)
+    assert 0 < capped.nonconverged <= 6 * 8
+
+
+def test_nodewise_path_at_canonical_g1_dimensions():
+    # one G1 cluster (p=50, ~400 samples) through the default 50-penalty path
+    spec = datagen.make_setting("G1", seed=3)
+    x_all, z = datagen.generate_dataset(spec, 1200, (1200, 0, 0)).part("train")
+    x = x_all[datagen.cluster_labels(spec, z) == 1]
+    n, p = x.shape
+    assert p == 50 and 350 <= n <= 450
+    path = baselines.nodewise_lasso_graphs(x)
+    assert len(path.lambdas) == 50
+    assert path.nonconverged == 0
+
+    scale = np.sqrt(np.mean(x * x, axis=0))
+    xs = x / scale
+    lam_max = 0.0
+    for j in range(p):
+        others = np.delete(np.arange(p), j)
+        lam_max = max(lam_max, np.max(np.abs(xs[:, others].T @ xs[:, j])) / n)
+    assert np.array_equal(path.lambdas, baselines.lambda_grid(lam_max, 50))
+
+    worst = 0.0
+    for j in range(p):
+        others = np.delete(np.arange(p), j)
+        design, target = xs[:, others], xs[:, j]
+        for lam, w in zip(path.lambdas, path.graphs):
+            b = w[j, others] * scale[others] / scale[j]
+            worst = max(worst, baselines.kkt_violation(design, target, b, lam))
+    assert worst <= 1e-8
+
+
+def test_best_over_path_per_sample_values():
+    theta = datagen.banded_precision(6, 1, 1.0, 0.4)
+    path = baselines.nodewise_lasso_graphs(
+        sample_from_precision(theta, 800, SeededRng(14, 0)), n_lambdas=8)
+    band = np.abs(theta) > 1e-10
+    np.fill_diagonal(band, False)
+    wide = band | (np.abs(datagen.banded_precision(6, 2, 1.0, 0.4)) > 1e-10)
+    np.fill_diagonal(wide, False)
+    truths = [band, wide, band]
+    lam, val, vals = baselines.best_over_path(path, truths, metric="auprc", per_sample=True)
+    assert (lam, val) == baselines.best_over_path(path, truths, metric="auprc")
+    assert len(vals) == 3 and vals[0] == vals[2]
+    assert val == math.fsum(vals) / 3
+    assert lam in path.lambdas

@@ -398,3 +398,17 @@ def test_transposed_coefficient_reading_runs_and_differs():
     at, support = datagen.dag_mix(base, z)
     assert np.array_equal(datagen.truth_skeleton(flipped, z),
                           datagen.moralize(support.T))
+
+
+@pytest.mark.parametrize("setting", ["G2", "N2"])
+def test_canonical_g2_n2_generate_for_every_seed(setting):
+    # At p=90 the negative-weight branch mixes indefinite precisions; they
+    # must be redrawn, not raised as NotPositiveDefinite.
+    resamples = 0
+    for seed in range(6):
+        spec = datagen.make_setting(setting, seed=seed)
+        assert spec.p == 90
+        ds = datagen.generate_dataset(spec, 200, (100, 50, 50))
+        assert ds.X.shape == (200, 90) and np.isfinite(ds.X).all()
+        resamples += ds.resample_count
+    assert resamples > 0

@@ -78,6 +78,30 @@ def test_failed_method_is_recorded_not_raised(tmp_path):
     assert results["methods"]["nodewise-lasso"]["status"] == "ok"
 
 
+def test_lasso_scores_each_truth_once_and_counts_nonconverged(tmp_path, monkeypatch):
+    cfg = _tiny_config(tmp_path, methods=("nodewise-lasso",))
+    spec = datagen.make_setting("G1", seed=5, p=8)
+    Ztr = datagen.generate_dataset(spec, 340, (220, 60, 60)).part("train")[1]
+    truths = np.stack(harness.truth_vectors(spec, Ztr, False))
+    labels = datagen.cluster_labels(spec, Ztr)
+    distinct = sum(len(np.unique(truths[labels == c], axis=0)) for c in set(labels.tolist()))
+
+    calls = []
+    f1_ba = harness.metrics.f1_ba
+    monkeypatch.setattr(harness.metrics, "f1_ba",
+                        lambda pred, truth: calls.append(1) or f1_ba(pred, truth))
+    res = harness.run_replicate(cfg, 0)["methods"]["nodewise-lasso"]
+    assert res["status"] == "ok"
+    assert res["lasso_nonconverged"] == 0
+    assert len(calls) == distinct * len(cfg.thresholds)
+    assert len(res["per_sample"]["f1@0.05"]) == 220
+
+    capped = _tiny_config(tmp_path, methods=("nodewise-lasso",),
+                          lasso=dict(n_lambdas=6, max_iter=1))
+    assert harness.run_replicate(capped, 0)["methods"]["nodewise-lasso"][
+        "lasso_nonconverged"] > 0
+
+
 def test_evaluate_graphs_keys(tmp_path):
     spec = datagen.make_setting("G1", seed=1, p=6)
     ds = datagen.generate_dataset(spec, 20, (0, 0, 20))

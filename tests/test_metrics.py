@@ -199,3 +199,11 @@ def test_aggregate_invariant_to_sample_order():
     rep_a = metrics.aggregate([{"m": vals}])
     rep_b = metrics.aggregate([{"m": gen.permutation(vals)}])
     assert rep_a.mean["m"] == rep_b.mean["m"]
+
+
+def test_distinct_rows_first_seen_order_and_inverse():
+    rows = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 1], [0, 0, 1], [1, 1, 1]], dtype=bool)
+    patterns, inverse = metrics.distinct_rows(rows)
+    assert np.array_equal(patterns, rows[[0, 1, 4]])
+    assert inverse.tolist() == [0, 1, 0, 1, 2]
+    assert np.array_equal(patterns[inverse], rows)
