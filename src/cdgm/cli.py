@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -82,6 +84,19 @@ def parse_config_file(path) -> harness.ExperimentConfig:
             raise UsageError(f"unknown config key {key!r}")
     if "setting" not in cfg:
         raise UsageError("config must define 'setting'")
+    gen_keys = [name for name, prm in inspect.signature(datagen.make_setting).parameters.items()
+                if prm.kind is prm.KEYWORD_ONLY]
+    known = {
+        "dnn": [f.name for f in dataclasses.fields(estimator.TrainConfig)] + ["lr"],
+        "lasso": harness.LASSO_OPTIONS,
+        "generator": gen_keys,
+    }
+    for group, names in known.items():
+        for sub in cfg[group]:
+            if sub not in names:
+                prefix = "gen" if group == "generator" else group
+                raise UsageError(f"unknown config key '{prefix}.{sub}'; "
+                                 f"known {prefix}.* keys: {', '.join(names)}")
     # rename to the estimator's parameter names
     if "lr" in cfg["dnn"]:
         cfg["dnn"]["base_lr"] = cfg["dnn"].pop("lr")

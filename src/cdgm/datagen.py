@@ -28,6 +28,12 @@ SETTING_IDS = ("G1", "G2", "N1", "N2", "D1", "D2")
 # treated as structural zeros when labeling ground-truth edges.
 SUPPORT_TOL = 1e-10
 
+# Samples per stacked factorisation in the Gaussian/NPN settings. A stack
+# of 32 (p, p) float64 matrices is 0.6 MB at p=50 and 2.1 MB at p=90, and
+# generation holds about four stacks at once; chunks of 256 raised the
+# peak memory of a G1 replicate by 12 MB and ran no faster.
+FACTOR_CHUNK = 32
+
 
 # ---------------------------------------------------------------------------
 # candidate precision matrices
@@ -64,6 +70,19 @@ def block_precision(p: int, block_index: int, block_size: int,
     return m
 
 
+def _mix(weights, candidates) -> np.ndarray:
+    """sum_l w_l * candidates[l], added in candidate order, for weights
+    (k,) or a stack (n, k); a stack gives (n, p, p)."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape[-1] != len(candidates):
+        raise ShapeMismatch("one weight per candidate required")
+    theta = np.zeros(weights.shape[:-1] + np.shape(candidates[0]))
+    term = np.empty_like(theta)
+    for l, psi in enumerate(candidates):
+        theta += np.multiply(weights[..., l, None, None], psi, out=term)
+    return theta
+
+
 def mix_precision(weights, candidates) -> np.ndarray:
     """Weighted combination of candidate precision matrices.
 
@@ -71,14 +90,10 @@ def mix_precision(weights, candidates) -> np.ndarray:
     definite by construction; any mix with a negative weight is verified
     by Cholesky and rejected with NotPositiveDefinite.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(candidates):
-        raise ShapeMismatch("one weight per candidate required")
-    theta = np.zeros_like(candidates[0])
-    for w, psi in zip(weights, candidates):
-        theta += w * psi
-    if np.any(weights < 0.0):
-        cholesky(theta)
+    theta = _mix(weights, candidates)
+    negative = np.any(np.asarray(weights) < 0.0, axis=-1)
+    if np.any(negative):
+        cholesky(theta[negative])
     return theta
 
 
@@ -86,18 +101,31 @@ def mix_precision(weights, candidates) -> np.ndarray:
 # covariate machinery
 
 
-def rbf_eval(alphas, betas, centers, z) -> float:
-    """Sum of Gaussian bumps: sum_l alpha_l * exp(-beta_l ||z - c_l||^2)."""
+def rbf_eval(alphas, betas, centers, z):
+    """Sum of Gaussian bumps: sum_l alpha_l * exp(-beta_l ||z - c_l||^2).
+
+    ``z`` is one covariate (q,), giving a float, or a stack (n, q), giving
+    (n,). Each sample's sum is its own ``np.dot`` (BLAS sums in its own
+    order), so a stack reproduces the one-covariate values bit for bit.
+    """
     z = np.asarray(z, dtype=np.float64)
-    sq = np.sum((np.asarray(centers) - z) ** 2, axis=1)
-    return float(np.dot(np.asarray(alphas), np.exp(-np.asarray(betas) * sq)))
+    alphas = np.asarray(alphas)
+    sq = np.sum((np.asarray(centers) - z[..., None, :]) ** 2, axis=-1)
+    bumps = np.exp(-np.asarray(betas) * sq)
+    if z.ndim == 1:
+        return float(np.dot(alphas, bumps))
+    return np.array([np.dot(alphas, b) for b in bumps])
 
 
-def _sigmoid(v: float) -> float:
-    if v >= 0:
-        return 1.0 / (1.0 + np.exp(-v))
-    e = np.exp(v)
-    return e / (1.0 + e)
+def _sigmoid(v) -> np.ndarray:
+    """Logistic function, elementwise, without overflow on either side."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    e = np.exp(v[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def npn_transform(x, kind: str) -> np.ndarray:
@@ -222,6 +250,59 @@ def hermite_functions(x) -> np.ndarray:
     return np.stack([h1 * g, h2 * g, h3 * g], axis=-1)
 
 
+def sem_simulate_batch(candidates, weights, noise, family: str = "linear",
+                       coeffs=None, transpose_coeffs: bool = False) -> np.ndarray:
+    """Draw n samples from structural equation models over mixed DAGs.
+
+    Sample i's weighted DAG is ``sum_l weights[i, l] * candidates[l]`` and
+    ``noise[i]`` its noise. Nodes advance in topological order of the
+    candidates' union, one step over all samples each, so every parent of
+    node j holds its final value when j is filled. ``family='linear'``
+    takes the dot product of the weighted row with the sample; the batched
+    matmul makes one BLAS dot per sample, the call a one-sample
+    ``a[j] @ x`` makes, so both give the same bits. ``family='hermite'``
+    adds ``(a * coeffs[j, k, m]) * psi_m(x_k)`` over the union parents k
+    in ascending order and m = 0, 1, 2; for a node with at most two
+    parents that is the order in which ``np.sum`` adds its six terms. A
+    parent that is not in a sample's DAG has ``a == 0`` there and adds an
+    exact zero.
+
+    ``transpose_coeffs`` applies the transposed adjacency reading.
+    """
+    if family not in ("linear", "hermite"):
+        raise ValueError(f"unknown SEM family {family!r}")
+    if family == "hermite" and coeffs is None:
+        raise ShapeMismatch("hermite family requires per-edge coefficients")
+    cands = [np.asarray(c, dtype=np.float64) for c in candidates]
+    if transpose_coeffs:
+        cands = [c.T for c in cands]
+    weights = np.asarray(weights, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    n, p = noise.shape
+    union = np.zeros((p, p), dtype=bool)
+    for c in cands:
+        union |= c != 0
+
+    x = np.zeros((n, p))
+    psi = np.empty((p, n, 3)) if family == "hermite" else None
+    for j in topological_order(union):
+        row = weights[:, 0, None] * cands[0][j]
+        for l in range(1, len(cands)):
+            row = row + weights[:, l, None] * cands[l][j]
+        if family == "linear":
+            total = np.matmul(row[:, None, :], x[:, :, None])[:, 0, 0]
+        else:
+            total = np.zeros(n)
+            for k in np.flatnonzero(union[j]):
+                for m in range(3):
+                    total = total + (row[:, k] * coeffs[j, k, m]) * psi[k][:, m]
+        xj = total + noise[:, j]
+        x[:, j] = xj
+        if psi is not None:
+            psi[j] = hermite_functions(xj)
+    return x
+
+
 def sem_simulate(a_weighted, family: str = "linear", coeffs=None,
                  noise_sd: float = 1.0, rng: SeededRng | None = None,
                  noise=None, transpose_coeffs: bool = False) -> np.ndarray:
@@ -231,37 +312,18 @@ def sem_simulate(a_weighted, family: str = "linear", coeffs=None,
     parents plus N(0, noise_sd^2) noise. ``family='linear'`` uses the
     adjacency weights directly; ``family='hermite'`` expands each parent
     value in the first three Hermite functions with per-edge coefficients
-    ``coeffs[j, k, m]`` scaled by the adjacency weight.
+    ``coeffs[j, k, m]`` scaled by the adjacency weight. This is the
+    one-sample case of :func:`sem_simulate_batch`.
 
     ``noise`` overrides the random draw (useful for exact checks).
     ``transpose_coeffs`` applies the transposed adjacency reading for the
     Hermite scaling.
     """
     a = np.asarray(a_weighted, dtype=np.float64)
-    if transpose_coeffs:
-        a = a.T
-    order = topological_order(a)
-    p = a.shape[0]
     if noise is None:
-        noise = rng.generator.normal(0.0, noise_sd, size=p)
-    x = np.zeros(p)
-    if family == "linear":
-        for j in order:
-            x[j] = a[j] @ x + noise[j]
-    elif family == "hermite":
-        if coeffs is None:
-            raise ShapeMismatch("hermite family requires per-edge coefficients")
-        for j in order:
-            parents = np.nonzero(a[j])[0]
-            total = 0.0
-            if len(parents):
-                basis = hermite_functions(x[parents])  # (n_parents, 3)
-                alpha = a[j, parents, None] * coeffs[j, parents, :]
-                total = float(np.sum(alpha * basis))
-            x[j] = total + noise[j]
-    else:
-        raise ValueError(f"unknown SEM family {family!r}")
-    return x
+        noise = rng.generator.normal(0.0, noise_sd, size=a.shape[0])
+    return sem_simulate_batch((a,), np.ones((1, 1)), np.asarray(noise)[None], family=family,
+                              coeffs=coeffs, transpose_coeffs=transpose_coeffs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,35 +414,43 @@ def make_setting(setting: str, seed: int = 0, *, p: int | None = None,
     )
 
 
-def covariate_to_weights(spec: SettingSpec, z) -> tuple[np.ndarray, int]:
-    """Candidate mixing weights and cluster label for one covariate value.
+def covariate_to_weights(spec: SettingSpec, z):
+    """Candidate mixing weights and cluster labels for covariate values.
 
+    ``z`` is a stack (n, q), giving weights (n, k) and labels (n,), or one
+    covariate (q,), its one-row case, giving weights (k,) and an int label.
     Implements the piecewise branch rules of each setting; boundary ties
     (probability-zero events) go to the lower interval.
     """
     z = np.asarray(z, dtype=np.float64)
+    Z = np.atleast_2d(z)
     s = spec.setting
     if s in ("G1", "N1"):
-        z1, z2 = float(z[0]), float(z[1])
-        if z2 <= 1.0 / 3.0:
-            return np.array([z1, 1.0 - z1, 0.0]), 1
-        if z2 <= 2.0 / 3.0:
-            return np.array([0.0, z1, 1.0 - z1]), 2
-        return np.array([z1, 0.0, 1.0 - z1]), 3
-    if s in ("G2", "N2"):
+        z1, z2 = Z[:, 0], Z[:, 1]
+        labels = np.where(z2 <= 1.0 / 3.0, 1, np.where(z2 <= 2.0 / 3.0, 2, 3))
+        rest = 1.0 - z1
+        weights = np.stack([np.where(labels == 2, 0.0, z1),
+                            np.where(labels == 1, rest, np.where(labels == 2, z1, 0.0)),
+                            np.where(labels == 1, 0.0, rest)], axis=1)
+    elif s in ("G2", "N2"):
         alphas, betas, centers = spec.rbf_params
-        zt = _sigmoid(rbf_eval(alphas, betas, centers, z))
-        if zt > 0.9 or zt <= 0.1:
-            return np.array([zt, 0.0, 1.0 - zt]), 1
-        return np.array([zt, 0.5, 0.5 - zt]), 2
-    # D settings: weights over (B1, B2)
-    z1, z2 = float(z[0]), float(z[1])
-    if 0.0 < z1 <= 0.5:
-        return np.array([1.0, 0.0]), 1
-    if -0.5 < z1 <= 0.0:
-        return np.array([0.0, 1.0]), 2
-    w1 = z2 * z2
-    return np.array([w1, 1.0 - w1]), 3
+        zt = _sigmoid(rbf_eval(alphas, betas, centers, Z))
+        outer = (zt > 0.9) | (zt <= 0.1)
+        labels = np.where(outer, 1, 2)
+        weights = np.stack([zt, np.where(outer, 0.0, 0.5),
+                            np.where(outer, 1.0 - zt, 0.5 - zt)], axis=1)
+    else:  # D settings: weights over (B1, B2)
+        z1, z2 = Z[:, 0], Z[:, 1]
+        labels = np.where((0.0 < z1) & (z1 <= 0.5), 1,
+                          np.where((-0.5 < z1) & (z1 <= 0.0), 2, 3))
+        w1 = z2 * z2
+        weights = np.stack([np.where(labels == 1, 1.0, np.where(labels == 2, 0.0, w1)),
+                            np.where(labels == 1, 0.0, np.where(labels == 2, 1.0, 1.0 - w1))],
+                           axis=1)
+    labels = labels.astype(np.int64)
+    if z.ndim == 1:
+        return weights[0], int(labels[0])
+    return weights, labels
 
 
 def dag_mix(spec: SettingSpec, z) -> tuple[np.ndarray, np.ndarray]:
@@ -397,12 +467,25 @@ def ground_truth_theta(spec: SettingSpec, z) -> np.ndarray:
     return mix_precision(weights, spec.candidates)
 
 
-def cluster_label(spec: SettingSpec, z) -> int:
-    return covariate_to_weights(spec, z)[1]
-
-
 def cluster_labels(spec: SettingSpec, Z) -> np.ndarray:
-    return np.array([cluster_label(spec, z) for z in np.asarray(Z)], dtype=np.int64)
+    return covariate_to_weights(spec, np.reshape(Z, (-1, spec.q)))[1]
+
+
+def support_keys(spec: SettingSpec, Z) -> np.ndarray:
+    """One boolean row per sample; samples with equal rows have equal truth.
+
+    DAG settings: the nonzero pattern of the tree weights. The weights are
+    nonnegative and the trees 0/1, so a mixed edge is nonzero exactly when
+    a tree holding it has a nonzero weight. Gaussian/NPN settings: which
+    candidates show off the diagonal, ``|w_l| * offdiag > SUPPORT_TOL``.
+    The candidates' off-diagonal supports are disjoint, so each
+    off-diagonal entry of a mix is a single product ``w_l * offdiag``; a
+    weight that is nonzero but tiny leaves its candidate's edges out.
+    """
+    weights, _ = covariate_to_weights(spec, np.reshape(Z, (-1, spec.q)))
+    if spec.mechanism == "dag":
+        return weights != 0.0
+    return np.abs(weights) * abs(spec.offdiag_value) > SUPPORT_TOL
 
 
 def truth_skeleton(spec: SettingSpec, z, pseudo: bool = False) -> np.ndarray:
@@ -462,61 +545,87 @@ def _draw_covariate(spec: SettingSpec, gen: np.random.Generator) -> np.ndarray:
     return gen.uniform(0.0, 1.0, spec.q)
 
 
-def _draw_sample(spec: SettingSpec, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, int]:
-    """One (z, x) pair; returns (z, x, resamples used)."""
-    gen = rng.generator
-    resamples = 0
-    while True:
-        z = _draw_covariate(spec, gen)
-        if spec.mechanism == "dag":
-            a_tilde, _ = dag_mix(spec, z)
-            x = sem_simulate(
-                a_tilde,
-                family="hermite" if spec.setting == "D2" else "linear",
-                coeffs=spec.hermite_coeffs,
-                noise_sd=spec.noise_sd,
-                rng=rng,
-                transpose_coeffs=spec.transpose_coeffs,
-            )
-            return z, x, resamples
-        weights, _ = covariate_to_weights(spec, z)
-        try:
-            low = cholesky(mix_precision(weights, spec.candidates))
-        except NotPositiveDefinite:
-            # G2's middle branch can produce a negative third weight and an
-            # indefinite mix, which mix_precision rejects; redraw the
-            # covariate within the same stream.
-            resamples += 1
-            continue
-        u = gen.standard_normal(spec.p)
-        x = solve_triangular(low.T, u, lower=False)
-        if spec.npn_kind is not None:
-            x = npn_transform(x, spec.npn_kind)
-        return z, x, resamples
-
-
 def generate_dataset(spec: SettingSpec, n: int, splits, seed: int | None = None) -> Dataset:
     """Generate ``n`` paired samples with per-sample RNG streams.
 
-    Ground truth is regenerable from (spec, covariate) without storing any
-    per-sample matrices. Streams are derived from the sample index alone,
-    so an NPN dataset equals its Gaussian twin pushed through the monotone
-    map when seeds coincide.
+    Sample i draws from its own stream ``SeededRng(seed, i + 1)``: the
+    covariate, then the SEM noise or the Gaussian draw u. Only those draws
+    run per sample; the mixing, the SEM and the factorisations run over
+    all samples at once. Ground truth is regenerable from (spec,
+    covariate) without storing any per-sample matrices. Streams are
+    derived from the sample index alone, so an NPN dataset equals its
+    Gaussian twin pushed through the monotone map when seeds coincide.
     """
     splits = tuple(int(s) for s in splits)
     if sum(splits) != n:
         raise ShapeMismatch(f"splits {splits} do not sum to n={n}")
     seed = spec.seed if seed is None else seed
-    X = np.empty((n, spec.p))
-    Z = np.empty((n, spec.q))
-    resample_count = 0
-    for i in range(n):
-        z, x, resamples = _draw_sample(spec, SeededRng(seed, stream=i + 1))
-        Z[i] = z
-        X[i] = x
-        resample_count += resamples
+    if spec.mechanism == "dag":
+        X, Z, resample_count = _generate_dag(spec, n, seed)
+    else:
+        X, Z, resample_count = _generate_gaussian(spec, n, seed)
     return Dataset(spec=spec, seed=seed, X=X, Z=Z, splits=splits,
                    resample_count=resample_count)
+
+
+def _generate_dag(spec: SettingSpec, n: int, seed: int):
+    Z = np.empty((n, spec.q))
+    noise = np.empty((n, spec.p))
+    for i in range(n):
+        gen = SeededRng(seed, stream=i + 1).generator
+        Z[i] = _draw_covariate(spec, gen)
+        noise[i] = gen.normal(0.0, spec.noise_sd, size=spec.p)
+    weights, _ = covariate_to_weights(spec, Z)
+    X = sem_simulate_batch(spec.candidates, weights, noise,
+                           family="hermite" if spec.setting == "D2" else "linear",
+                           coeffs=spec.hermite_coeffs,
+                           transpose_coeffs=spec.transpose_coeffs)
+    return X, Z, 0
+
+
+def _generate_gaussian(spec: SettingSpec, n: int, seed: int):
+    """x = L^{-T} u with theta = L L^T, in chunks of FACTOR_CHUNK samples.
+
+    A mix with a negative weight (G2/N2's middle branch) can be indefinite.
+    It is factored on its own as soon as its covariate is drawn; if that
+    fails, the covariate is redrawn from the same stream, and u is drawn
+    only once the mix is accepted. Its factor is kept for the solve. All
+    other mixes of a chunk are factored as one stack.
+    """
+    p = spec.p
+    Z = np.empty((n, spec.q))
+    X = np.empty((n, p))
+    resamples = 0
+    for lo in range(0, n, FACTOR_CHUNK):
+        gens = [SeededRng(seed, stream=i + 1).generator
+                for i in range(lo, min(n, lo + FACTOR_CHUNK))]
+        z = np.array([_draw_covariate(spec, gen) for gen in gens])
+        weights, _ = covariate_to_weights(spec, z)
+        low = np.empty((len(gens), p, p))
+        factored = np.zeros(len(gens), dtype=bool)
+        retry = np.flatnonzero(np.any(weights < 0.0, axis=1))
+        while retry.size:
+            for i in retry:
+                try:
+                    low[i] = cholesky(_mix(weights[i], spec.candidates))
+                    factored[i] = True
+                except NotPositiveDefinite:
+                    z[i] = _draw_covariate(spec, gens[i])
+            retry = retry[~factored[retry]]
+            resamples += retry.size
+            weights[retry] = covariate_to_weights(spec, z[retry])[0]
+            retry = retry[np.any(weights[retry] < 0.0, axis=1)]
+        u = np.array([gen.standard_normal(p) for gen in gens])
+        rest = np.flatnonzero(~factored)
+        if rest.size:
+            low[rest] = cholesky(_mix(weights[rest], spec.candidates))
+        # low is finite (cholesky checks theta) and so is u
+        X[lo:lo + len(gens)] = solve_triangular(low.transpose(0, 2, 1), u[:, :, None],
+                                                lower=False, check_finite=False)[:, :, 0]
+        Z[lo:lo + len(gens)] = z
+    if spec.npn_kind is not None:
+        X = npn_transform(X, spec.npn_kind)
+    return X, Z, resamples
 
 
 # ---------------------------------------------------------------------------

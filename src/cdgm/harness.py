@@ -24,6 +24,8 @@ from . import baselines, datagen, estimator, graphops, metrics
 from .errors import AllZeroGraph, ShapeMismatch
 
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
+# Options fit_eval_lasso reads from ``ExperimentConfig.lasso``.
+LASSO_OPTIONS = ("n_lambdas", "lambda_min_ratio", "tol", "max_iter", "export_paths")
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
 
 
@@ -63,22 +65,18 @@ class ExperimentConfig:
         self.thresholds = thr
 
 
-def truth_vectors(spec, Z, pseudo: bool) -> list[np.ndarray]:
-    """Upper-triangle ground-truth label vector per sample."""
+def truth_vectors(spec, Z, pseudo: bool) -> np.ndarray:
+    """Upper-triangle ground-truth label vectors, one row per sample.
+
+    Samples with equal ``datagen.support_keys`` have equal truth, so each
+    skeleton is built once per distinct key and gathered to its samples.
+    """
     iu = np.triu_indices(spec.p, k=1)
-    return [datagen.truth_skeleton(spec, z, pseudo=pseudo)[iu] for z in Z]
-
-
-def _grouped_rank_metric(fn, score_vecs, label_vecs) -> list[float]:
-    """Per-sample metric values, computing each distinct case once."""
-    cache = {}
-    out = []
-    for s, l in zip(score_vecs, label_vecs):
-        key = (s.tobytes(), l.tobytes())
-        if key not in cache:
-            cache[key] = fn(s, l)
-        out.append(cache[key])
-    return out
+    _, inverse = metrics.distinct_rows(datagen.support_keys(spec, Z))
+    first = np.unique(inverse, return_index=True)[1]
+    built = np.array([datagen.truth_skeleton(spec, Z[i], pseudo=pseudo)[iu] for i in first],
+                     dtype=bool).reshape(len(first), len(iu[0]))
+    return built[inverse]
 
 
 def evaluate_graphs(graphs, truths, thresholds) -> dict:
@@ -108,8 +106,8 @@ def evaluate_graphs(graphs, truths, thresholds) -> dict:
 
     score_vecs = [graphops.symmetric_scores(g)[iu] for g in graphs]
     result = {
-        "auroc": _grouped_rank_metric(metrics.auroc, score_vecs, label_vecs),
-        "auprc": _grouped_rank_metric(metrics.auprc, score_vecs, label_vecs),
+        "auroc": [metrics.auroc(s, l) for s, l in zip(score_vecs, label_vecs)],
+        "auprc": [metrics.auprc(s, l) for s, l in zip(score_vecs, label_vecs)],
     }
     for tau in thresholds:
         f1s, bas = [], []
@@ -152,7 +150,7 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
     """Cluster-partitioned penalty-path baseline, scored on training samples."""
     Xtr, Ztr = ds.part("train")
     labels = datagen.cluster_labels(ds.spec, Ztr)
-    truths = np.stack(truth_vectors(ds.spec, Ztr, cfg.pseudo_moral))
+    truths = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
     p = ds.spec.p
     iu = np.triu_indices(p, k=1)
     opts = dict(cfg.lasso)

@@ -54,17 +54,12 @@ def auprc(scores, labels) -> float:
         raise DegenerateLabels("need at least one positive")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    l_sorted = labels[order]
+    # one past the last sorted position of every tie group
+    ends = np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1, scores.size)
+    seen = np.cumsum(labels[order])[ends - 1]
+    group = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
     precision = np.empty(scores.size)
-    seen_pos = 0
-    lo = 0
-    while lo < scores.size:
-        hi = lo
-        while hi < scores.size and s_sorted[hi] == s_sorted[lo]:
-            hi += 1
-        seen_pos += int(l_sorted[lo:hi].sum())
-        precision[order[lo:hi]] = seen_pos / hi
-        lo = hi
+    precision[order] = (seen / ends)[group]
     return float(np.mean(precision[labels]))
 
 

@@ -43,36 +43,29 @@ class SeededRng:
         return SeededRng(self.seed, stream)
 
 
-def as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ShapeMismatch("matrix contains non-finite entries")
-    return a
-
-
 def cholesky(m) -> np.ndarray:
-    """Lower-triangular L with L L^T = m.
+    """Lower-triangular L with L L^T = m, for one matrix or a stack.
 
-    Raises NotPositiveDefinite when any pivot falls at or below 1e-12,
+    ``m`` is (p, p) or (..., p, p); every matrix of a stack is checked on
+    its own: finite entries, symmetric within 1e-10, and every pivot
+    above 1e-12. A pivot at or below the floor raises NotPositiveDefinite,
     which signals an invalid precision mix upstream.
     """
-    a = as_matrix(m)
-    n, k = a.shape
-    if n != k:
-        raise ShapeMismatch(f"cholesky needs a square matrix, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"cholesky needs square matrices, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ShapeMismatch("matrix contains non-finite entries")
+    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)) <= 1e-10):
         raise ShapeMismatch("cholesky needs a symmetric matrix")
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
     # LAPACK succeeds on barely-positive pivots; enforce the stated floor.
-    if np.min(np.diag(low)) ** 2 <= PIVOT_FLOOR:
-        raise NotPositiveDefinite(
-            f"pivot {np.min(np.diag(low))**2:.3e} at or below {PIVOT_FLOOR:.0e}"
-        )
+    pivot = np.min(np.diagonal(low, axis1=-2, axis2=-1)) ** 2
+    if pivot <= PIVOT_FLOOR:
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} at or below {PIVOT_FLOOR:.0e}")
     return low
 
 

@@ -211,6 +211,31 @@ def test_cli_config_rejects_unknown_key(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("line", ["dnn.epoch = 2", "lasso.n_lambda = 5", "gen.pp = 6",
+                                  "gen.seed = 3"])
+def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "typo.cfg"
+    cfg_file.write_text(f"setting = G1\nn_train = 40\nn_val = 10\nn_test = 10\n"
+                        f"gen.p = 6\nout_dir = {out}\n{line}\n")
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert line.split(" = ")[0] in proc.stderr
+    assert not (out / "summary.csv").exists()
+
+
+def test_cli_config_accepts_documented_dotted_keys(tmp_path):
+    cfg_file = tmp_path / "ok.cfg"
+    cfg_file.write_text("setting = D2\ndnn.lr = 0.001\ndnn.block1 = 8,4\ndnn.epochs = 2\n"
+                        "lasso.n_lambdas = 4\nlasso.export_paths = true\n"
+                        "gen.p = 6\ngen.transpose_coeffs = true\n")
+    cfg = cli.parse_config_file(cfg_file)
+    assert cfg.dnn == {"base_lr": 0.001, "block1": (8, 4), "epochs": 2}
+    assert cfg.lasso == {"n_lambdas": 4, "export_paths": True}
+    assert cfg.generator == {"p": 6, "transpose_coeffs": True}
+
+
 def test_cli_runtime_failure_exits_two(tmp_path):
     rc = cli.main(["eval", "--data", str(tmp_path / "missing"),
                    "--model", str(tmp_path / "nope"), "--out", str(tmp_path / "r")])

@@ -90,6 +90,16 @@ def test_auprc_matches_naive_oracle_exactly():
         if labels.sum() == 0:
             labels[0] = 1
         assert metrics.auprc(scores, labels) == auprc_bruteforce(scores, labels)
+    for trial in range(150):
+        n = int(gen.integers(1, 1225))
+        # a handful of distinct values, so most scores sit in large tie groups
+        levels = gen.normal(size=int(gen.integers(1, 6)))
+        scores = levels[gen.integers(0, len(levels), n)]
+        if trial % 10 == 0:
+            scores[: n // 2] = np.inf
+        labels = gen.random(n) < gen.uniform(0.05, 0.95)
+        labels[0] = True
+        assert metrics.auprc(scores, labels) == auprc_bruteforce(scores, labels)
 
 
 @given(st.data())

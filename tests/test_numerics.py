@@ -43,6 +43,42 @@ def test_cholesky_reconstructs_random_spd(p):
     assert np.abs(np.triu(low, 1)).max() == 0.0
 
 
+def _spd_stack(count, p, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(count, p, p))
+    return a @ a.transpose(0, 2, 1) + p * np.eye(p)
+
+
+def test_cholesky_stack_equals_one_matrix_calls():
+    ms = _spd_stack(7, 9, 0)
+    low = cholesky(ms)
+    assert low.shape == ms.shape
+    for m, l in zip(ms, low):
+        assert np.array_equal(l, cholesky(m))
+
+
+def test_cholesky_stack_checks_every_matrix():
+    ms = _spd_stack(4, 3, 1)
+    bad = ms.copy()
+    bad[2] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(bad)
+    tiny = ms.copy()
+    tiny[3] = np.diag([1.0, 1.0, 1e-13])
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(tiny)
+    skew = ms.copy()
+    skew[1, 0, 2] += 1e-9
+    with pytest.raises(ShapeMismatch):
+        cholesky(skew)
+    nan = ms.copy()
+    nan[0, 1, 1] = np.nan
+    with pytest.raises(ShapeMismatch):
+        cholesky(nan)
+    with pytest.raises(ShapeMismatch):
+        cholesky(np.ones((2, 3, 4)))
+
+
 def test_invert_spd_matches_numpy():
     gen = np.random.default_rng(3)
     a = gen.normal(size=(6, 6))
