@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, estimator, graphops, harness, theory
-from .errors import AllZeroGraph, CdgmError
+from .errors import CdgmError
 
 
 class UsageError(Exception):
@@ -163,20 +163,12 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {k: math.fsum(v) / len(v) for k, v in per_sample.items()}
     (out / "eval.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    counts, edges = graphops.magnitude_histogram(graphs)
-    lines = ["bin_low,bin_high,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{edges[i]:.10g},{edges[i+1]:.10g},{c}")
-    (out / "histogram.csv").write_text("\n".join(lines) + "\n")
+    graphops.write_histogram(*graphops.magnitude_histogram(graphs), out / "histogram.csv")
     if args.edge_list_tau is not None:
         edge_dir = out / "edges"
         edge_dir.mkdir(exist_ok=True)
         for i, g in enumerate(graphs):
-            try:
-                g = graphops.normalize(g)
-            except AllZeroGraph:
-                pass
-            skel = graphops.threshold_and(g, args.edge_list_tau)
+            skel = graphops.threshold_and(graphops.normalize_if_nonzero(g), args.edge_list_tau)
             graphops.write_edge_list(skel, edge_dir / f"sample_{i:05d}.csv")
     for key in sorted(summary):
         print(f"{key}: {summary[key]:.4f}")
@@ -234,23 +226,18 @@ def cmd_experiment(args) -> int:
         print(f"{method}: auroc {rep.mean['auroc']:.4f} ({rep.std['auroc']:.4f})  "
               f"auprc {rep.mean['auprc']:.4f} ({rep.std['auprc']:.4f})")
     print(f"artifacts in {cfg.out_dir}")
+    failed = [m for m in cfg.methods if m not in reports]
+    if failed:
+        print(f"error: failed in every replicate: {', '.join(failed)}", file=sys.stderr)
+        return 2
     return 0
 
 
 def cmd_report(args) -> int:
+    cfg = harness.load_config(args.dir)
     reps = harness.load_replicates(args.dir)
     if not reps:
         raise CdgmError(f"no replicate artifacts under {args.dir}")
-    methods = tuple(reps[0]["methods"].keys())
-    thresholds = []
-    for key in next(iter(reps[0]["methods"].values()))["per_sample"]:
-        if key.startswith("f1@"):
-            thresholds.append(float(key[3:]))
-    cfg = harness.ExperimentConfig(
-        setting=reps[0]["setting"], replicates=len(reps),
-        seeds=tuple(r["seed"] for r in reps), methods=methods,
-        n_train=int(reps[0].get("n_train", 10_000)),
-        thresholds=tuple(sorted(thresholds)), out_dir=args.dir)
     path = harness.write_report(cfg, reps, args.dir)
     print(f"wrote {path}")
     return 0

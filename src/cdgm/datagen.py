@@ -663,6 +663,14 @@ def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
         np.savetxt(out / "Z.csv", ds.Z, delimiter=",")
 
 
+def _read_f64(path: Path, n: int, cols: int) -> np.ndarray:
+    size = path.stat().st_size
+    if size != n * cols * 8:
+        raise ShapeMismatch(f"{path}: expected {n * cols * 8} bytes ({n}x{cols} float64), "
+                            f"found {size}")
+    return np.fromfile(path, dtype="<f8").reshape(n, cols)
+
+
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
@@ -674,8 +682,8 @@ def load_dataset(in_dir) -> Dataset:
         noise_sd=g["noise_sd"], transpose_coeffs=g["transpose_coeffs"],
     )
     n, p, q = meta["n"], meta["p"], meta["q"]
-    X = np.fromfile(src / "X.f64", dtype="<f8").reshape(n, p)
-    Z = np.fromfile(src / "Z.f64", dtype="<f8").reshape(n, q)
+    X = _read_f64(src / "X.f64", n, p)
+    Z = _read_f64(src / "Z.f64", n, q)
     splits = (meta["splits"]["train"], meta["splits"]["val"], meta["splits"]["test"])
     return Dataset(spec=spec, seed=meta["seed"], X=X, Z=Z, splits=splits,
                    resample_count=meta.get("resample_count", 0))

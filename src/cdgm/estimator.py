@@ -26,8 +26,7 @@ INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
 
 def offdiag_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/col indices of off-diagonal cells in output-coordinate order."""
-    jj, kk = np.nonzero(~np.eye(p, dtype=bool))
-    return jj, kk
+    return np.nonzero(~np.eye(p, dtype=bool))
 
 
 def coef_index(p: int, j: int, k: int) -> int:
@@ -37,6 +36,20 @@ def coef_index(p: int, j: int, k: int) -> int:
     return j * (p - 1) + (k if k < j else k - 1)
 
 
+def _scatter(out: np.ndarray, p: int) -> np.ndarray:
+    """(n, p(p-1)) head outputs as (n, p, p) matrices with zero diagonal."""
+    n = out.shape[0]
+    beta = np.zeros((n, p, p))
+    # Past cell 0, a row-major p x p matrix is rows of p+1 cells, each ending on the diagonal.
+    beta.reshape(n, p * p)[:, 1:].reshape(n, p - 1, p + 1)[:, :, :p] = out.reshape(n, p - 1, p)
+    return beta
+
+
+def _predict(out: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each node as the coefficient-weighted sum of the other nodes."""
+    return np.einsum("njk,nk->nj", _scatter(out, X.shape[1]), X)
+
+
 @dataclass
 class CdgmModel:
     p: int
@@ -44,19 +57,10 @@ class CdgmModel:
     spec: nn.MlpSpec
     params: nn.ParamSet
 
-    def coefficient_matrices(self, Z, training: bool = False,
-                             rng: SeededRng | None = None,
-                             with_cache: bool = False):
+    def coefficient_matrices(self, Z):
         """Per-sample (p, p) coefficient matrices with zero diagonal."""
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        out, cache = nn.forward(self.spec, self.params, Z, training=training, rng=rng)
-        n = out.shape[0]
-        beta = np.zeros((n, self.p, self.p))
-        jj, kk = offdiag_indices(self.p)
-        beta[:, jj, kk] = out
-        if with_cache:
-            return beta, out, cache
-        return beta
+        return _scatter(nn.forward(self.spec, self.params, Z)[0], self.p)
 
 
 @dataclass
@@ -125,8 +129,7 @@ def predict_nodes(model: CdgmModel, z, x) -> np.ndarray:
     X = np.atleast_2d(x)
     if X.shape[1] != model.p or Z.shape[1] != model.q or X.shape[0] != Z.shape[0]:
         raise ShapeMismatch(f"bad shapes x={x.shape}, z={z.shape} for (p={model.p}, q={model.q})")
-    beta = model.coefficient_matrices(Z)
-    xhat = np.einsum("njk,nk->nj", beta, X)
+    xhat = _predict(nn.forward(model.spec, model.params, Z)[0], X)
     return xhat[0] if single else xhat
 
 
@@ -189,18 +192,15 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
             idx = order[lo:lo + cfg.batch_size]
             xb, zb = Xtr[idx], Ztr[idx]
             out, cache = nn.forward(spec, params, zb, training=True, rng=dropout_rng)
-            beta = np.zeros((len(idx), p, p))
-            beta[:, jj, kk] = out
-            xhat = np.einsum("njk,nk->nj", beta, xb)
-            resid = xhat - xb
+            resid = _predict(out, xb) - xb
             batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(f"non-finite training loss at epoch {epoch}", epoch=epoch)
             epoch_loss += batch_loss * len(idx)
-            # d loss / d beta_jk = (2/B) * resid_j * x_k, gathered into
-            # output-coordinate order.
-            gbeta = np.einsum("nj,nk->njk", resid * (2.0 / len(idx)), xb)
-            grad_out = gbeta[:, jj, kk]
+            # d loss / d beta_jk = (2/B) * resid_j * x_k in output coordinates.
+            # Kept column-major, as the old gather was: backward's h_in.T @ grad_out
+            # sums in a layout-dependent order, so a C-ordered copy moves the last bits.
+            grad_out = (xb.T[kk] * (resid * (2.0 / len(idx))).T[jj]).T
             grads = nn.backward(cache, grad_out)
             nn.optimizer_step(params, grads, state, lr=lr)
         history.train_loss.append(epoch_loss / n)

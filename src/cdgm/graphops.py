@@ -24,6 +24,14 @@ def normalize(w) -> np.ndarray:
     return w / peak
 
 
+def normalize_if_nonzero(w) -> np.ndarray:
+    """``normalize(w)``, or ``w`` unchanged when it has no nonzero off-diagonal entry."""
+    try:
+        return normalize(w)
+    except AllZeroGraph:
+        return np.asarray(w, dtype=np.float64)
+
+
 def symmetric_scores(w, method: str = "min") -> np.ndarray:
     """Symmetric edge scores from an asymmetric coefficient matrix.
 
@@ -83,6 +91,14 @@ def write_edge_list(skel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_histogram(counts, edges, path) -> None:
+    """Histogram CSV: header bin_low,bin_high,count then one row per bin."""
+    lines = ["bin_low,bin_high,count"] + [
+        f"{lo:.10g},{hi:.10g},{c}" for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def magnitude_histogram(graphs, bins: int = 50, normalized: bool = True):
     """Pooled histogram of off-diagonal magnitudes across graphs.
 
@@ -94,12 +110,7 @@ def magnitude_histogram(graphs, bins: int = 50, normalized: bool = True):
         graphs = graphs[None]
     values = []
     for g in graphs:
-        if normalized:
-            try:
-                g = normalize(g)
-            except AllZeroGraph:
-                pass
-        a = np.abs(g)
+        a = np.abs(normalize_if_nonzero(g) if normalized else g)
         p = a.shape[0]
         mask = ~np.eye(p, dtype=bool)
         values.append(a[mask])

@@ -14,14 +14,15 @@ import concurrent.futures
 import json
 import math
 import os
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, datagen, estimator, graphops, metrics
-from .errors import AllZeroGraph, ShapeMismatch
+from .errors import CdgmError, ShapeMismatch
 
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 # Options fit_eval_lasso reads from ``ExperimentConfig.lasso``.
@@ -112,11 +113,7 @@ def evaluate_graphs(graphs, truths, thresholds) -> dict:
     for tau in thresholds:
         f1s, bas = [], []
         for g, skel in zip(graphs, skels):
-            try:
-                g_norm = graphops.normalize(g)
-            except AllZeroGraph:
-                g_norm = np.asarray(g, dtype=np.float64)
-            pred = graphops.threshold_and(g_norm, tau)
+            pred = graphops.threshold_and(graphops.normalize_if_nonzero(g), tau)
             f1, ba = metrics.f1_ba(pred, skel)
             f1s.append(f1)
             bas.append(ba)
@@ -191,10 +188,7 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
             if metric_name == "auroc":
                 auroc_graph = path.graphs[int(np.argwhere(path.lambdas == best_lam)[0][0])]
 
-        try:
-            g_norm = graphops.normalize(auroc_graph)
-        except AllZeroGraph:
-            g_norm = auroc_graph
+        g_norm = graphops.normalize_if_nonzero(auroc_graph)
         for tau in cfg.thresholds:
             pred = graphops.threshold_and(g_norm, tau)
             pairs = np.array([metrics.f1_ba(pred, skel) for skel in skels])[inverse]
@@ -296,22 +290,22 @@ def _write_replicate_artifacts(out: Path, rep: dict) -> None:
     for method, res in rep["methods"].items():
         hist = res.get("histogram")
         if hist:
-            lines = ["bin_low,bin_high,count"]
-            for i, c in enumerate(hist["counts"]):
-                lines.append(f"{hist['edges'][i]:.10g},{hist['edges'][i+1]:.10g},{c}")
-            (out / f"histogram_{method}_{rep['replicate']:03d}.csv").write_text(
-                "\n".join(lines) + "\n")
+            graphops.write_histogram(hist["counts"], hist["edges"],
+                                     out / f"histogram_{method}_{rep['replicate']:03d}.csv")
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     """Run all replicates, write artifacts, and aggregate per method.
 
-    Failed replicates are recorded and skipped in aggregation; the run
-    itself continues. Worker count for replicate parallelism is capped by
-    the CDGM_THREADS environment variable (default: serial).
+    Failed methods are recorded, printed to stderr and skipped in
+    aggregation; the run itself continues. The resolved config goes to
+    ``config.json``, from which ``cdgm report`` rebuilds the report.
+    Worker count for replicate parallelism is capped by the CDGM_THREADS
+    environment variable (default: serial).
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
     workers = int(os.environ.get("CDGM_THREADS", "1"))
     if workers > 1 and cfg.replicates > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -323,6 +317,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
 
     for rep in results:
         _write_replicate_artifacts(out, rep)
+        for method, res in rep["methods"].items():
+            if res["status"] != "ok":
+                print(f"replicate {rep['replicate']} (seed {rep['seed']}): {method} failed: "
+                      f"{res['error']}", file=sys.stderr)
     write_report(cfg, results, out)
 
     reports = {}
@@ -332,6 +330,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
         if ok:
             reports[method] = metrics.aggregate(ok)
     return reports
+
+
+def load_config(out_dir) -> ExperimentConfig:
+    """The resolved config ``run_experiment`` wrote to ``out_dir/config.json``."""
+    path = Path(out_dir) / "config.json"
+    if not path.is_file():
+        raise CdgmError(f"no {path}; it is written by the experiment run")
+    return ExperimentConfig(**json.loads(path.read_text()))
 
 
 def load_replicates(out_dir) -> list[dict]:

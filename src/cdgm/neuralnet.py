@@ -260,12 +260,20 @@ def save_params(params: ParamSet, path) -> None:
 
 def load_params(path, spec: MlpSpec) -> ParamSet:
     raw = Path(path).read_bytes()
-    head_end = raw.index(b"\n\n") + 2
-    lines = raw[:head_end].decode("ascii").splitlines()
-    if not lines or lines[0] != PARAMS_MAGIC:
-        raise ShapeMismatch(f"bad magic in {path}")
-    stored = [tuple(int(v) for v in tok.split("x")) for tok in lines[1].split()[1:]]
+    end = raw.find(b"\n\n")
+    lines = raw[:end].decode("ascii", errors="replace").splitlines() if end >= 0 else []
+    if len(lines) != 2 or lines[0] != PARAMS_MAGIC or not lines[1].startswith("layers"):
+        raise ShapeMismatch(f"{path}: expected a '{PARAMS_MAGIC}' / 'layers ...' header "
+                            "ended by a blank line")
+    try:
+        stored = [tuple(int(v) for v in tok.split("x")) for tok in lines[1].split()[1:]]
+    except ValueError:
+        raise ShapeMismatch(f"{path}: unreadable layer shapes {lines[1]!r}") from None
     if stored != spec.layer_dims():
-        raise ShapeMismatch(f"stored shapes {stored} do not match spec {spec.layer_dims()}")
-    flat = np.frombuffer(raw[head_end:], dtype="<f8").astype(np.float64)
-    return ParamSet(spec, flat)
+        raise ShapeMismatch(f"{path}: stored shapes {stored} do not match spec "
+                            f"{spec.layer_dims()}")
+    body = raw[end + 2:]
+    if len(body) != spec.n_params * 8:
+        raise ShapeMismatch(f"{path}: expected {spec.n_params * 8} parameter bytes "
+                            f"({spec.n_params} float64), found {len(body)}")
+    return ParamSet(spec, np.frombuffer(body, dtype="<f8").astype(np.float64))

@@ -387,6 +387,17 @@ def test_dataset_roundtrip(tmp_path):
     assert np.allclose(x_csv, ds.X)
 
 
+@pytest.mark.parametrize("name,cut", [("X.f64", 8), ("Z.f64", 8), ("X.f64", 3)])
+def test_load_dataset_rejects_wrong_file_length(tmp_path, name, cut):
+    spec = datagen.make_setting("G1", seed=1, p=6)
+    datagen.save_dataset(datagen.generate_dataset(spec, 50, (30, 10, 10)), tmp_path / "d")
+    path = tmp_path / "d" / name
+    path.write_bytes(path.read_bytes()[:-cut])
+    cols = 6 if name == "X.f64" else 2
+    with pytest.raises(ShapeMismatch, match=f"{name}: expected {50 * cols * 8} bytes"):
+        datagen.load_dataset(tmp_path / "d")
+
+
 def test_transposed_coefficient_reading_runs_and_differs():
     base = datagen.make_setting("D2", seed=14, p=8)
     flipped = datagen.make_setting("D2", seed=14, p=8, transpose_coeffs=True)

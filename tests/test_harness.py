@@ -170,38 +170,67 @@ def test_cli_train_eval_baseline_roundtrip(tmp_path, capsys):
     assert "auroc" in baseline
 
 
-def test_cli_experiment_and_report(tmp_path, capsys):
-    cfg_text = "\n".join([
-        "setting = G1",
-        "replicates = 1",
-        "seeds = 5",
-        "n_train = 150",
-        "n_val = 40",
-        "n_test = 40",
-        "methods = dnn",
-        "thresholds = 0.1",
-        f"out_dir = {tmp_path / 'exp'}",
-        "dnn.epochs = 2",
-        "dnn.block1 = 6",
-        "dnn.block2 = 4",
-        "dnn.batch_size = 64",
-        "gen.p = 8",
-        "# comment line",
-    ])
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(cfg_text + "\n")
-    rc = cli.main(["experiment", "--config", str(cfg_file)])
-    assert rc == 0
-    report = (tmp_path / "exp" / "report.csv").read_text()
-    (tmp_path / "exp" / "report.csv").unlink()
-    rc = cli.main(["report", "--dir", str(tmp_path / "exp")])
-    assert rc == 0
-    rebuilt = (tmp_path / "exp" / "report.csv").read_text()
+def _write_experiment_config(path, out_dir, *lines):
+    base = ["setting = G1", "replicates = 1", "seeds = 5", "n_train = 150", "n_val = 40",
+            "n_test = 40", "methods = dnn", "thresholds = 0.1", f"out_dir = {out_dir}",
+            "dnn.epochs = 2", "dnn.block1 = 6", "dnn.block2 = 4", "dnn.batch_size = 64",
+            "lasso.n_lambdas = 4", "gen.p = 8", "# comment line"]
+    keys = {line.split(" = ")[0] for line in lines}
+    path.write_text("\n".join([b for b in base if b.split(" = ")[0] not in keys]
+                              + list(lines)) + "\n")
+    return path
 
+
+def test_cli_experiment_and_report(tmp_path, capsys):
     def drop_runtime(text):
         return [",".join(r.split(",")[:-1]) for r in text.strip().splitlines()]
 
-    assert drop_runtime(report) == drop_runtime(rebuilt)
+    cases = [
+        ((), 0),
+        # dnn fails (no validation split) while the lasso succeeds; report
+        # must not read thresholds from the failed method's record
+        (("methods = dnn, nodewise-lasso", "n_val = 0"), 2),
+        # a threshold with more digits than the report's own formatting
+        (("thresholds = 0.0123456789",), 0),
+    ]
+    for i, (lines, code) in enumerate(cases):
+        out = tmp_path / f"exp{i}"
+        cfg_file = _write_experiment_config(tmp_path / f"exp{i}.cfg", out, *lines)
+        assert cli.main(["experiment", "--config", str(cfg_file)]) == code
+        report = (out / "report.csv").read_text()
+        summary = (out / "summary.csv").read_text()
+        assert len(report.splitlines()) == 2  # header plus one successful row
+        (out / "report.csv").unlink()
+        assert cli.main(["report", "--dir", str(out)]) == 0
+        assert drop_runtime((out / "report.csv").read_text()) == drop_runtime(report)
+        assert (out / "summary.csv").read_text() == summary
+    assert ",0.0123456789," in report
+
+
+def test_cli_report_needs_run_config(tmp_path):
+    cfg_file = _write_experiment_config(tmp_path / "exp.cfg", tmp_path / "exp")
+    assert cli.main(["experiment", "--config", str(cfg_file)]) == 0
+    (tmp_path / "exp" / "config.json").unlink()
+    assert cli.main(["report", "--dir", str(tmp_path / "exp")]) == 2
+
+
+def test_cli_failed_method_on_stderr_and_exit_code(tmp_path):
+    out = tmp_path / "exp"
+    cfg_file = _write_experiment_config(tmp_path / "exp.cfg", out, "replicates = 2",
+                                        "seeds = 5, 6", "methods = dnn, nodewise-lasso",
+                                        "n_val = 0")
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    failed = [line for line in proc.stderr.splitlines() if "dnn failed" in line]
+    assert failed == [f"replicate {i} (seed {s}): dnn failed: ShapeMismatch: "
+                      "train and validation splits must be nonempty"
+                      for i, s in ((0, 5), (1, 6))]
+    assert "failed in every replicate: dnn" in proc.stderr
+    assert "nodewise-lasso: auroc" in proc.stdout
+    rep = json.loads((out / "replicate_001.json").read_text())
+    assert rep["methods"]["dnn"]["status"] == "failed"
+    assert rep["methods"]["nodewise-lasso"]["status"] == "ok"
 
 
 def test_cli_config_rejects_unknown_key(tmp_path):

@@ -228,3 +228,22 @@ def test_params_roundtrip(tmp_path):
     other = nn.MlpSpec(input_dim=3, block1=(4, 2), block2=(5,), output_dim=6)
     with pytest.raises(ShapeMismatch):
         nn.load_params(path, other)
+
+
+@pytest.mark.parametrize("damage", ["no_blank_line", "bad_magic", "bad_shape", "truncated",
+                                    "odd_length", "extra"])
+def test_load_params_rejects_damaged_file(tmp_path, damage):
+    spec = small_spec()
+    path = tmp_path / "net.bin"
+    nn.save_params(nn.init_params(spec, SeededRng(8, 0)), path)
+    raw = path.read_bytes()
+    head, body = raw.split(b"\n\n", 1)
+    raw = {"no_blank_line": head + b"\n" + body,
+           "bad_magic": raw.replace(b"CDGM-PARAMS-1", b"CDGM-PARAMS-9"),
+           "bad_shape": raw.replace(b"3x4", b"3xfour"),
+           "truncated": raw[:-8],
+           "odd_length": raw[:-3],
+           "extra": raw + bytes(8)}[damage]
+    path.write_bytes(raw)
+    with pytest.raises(ShapeMismatch, match="net.bin"):
+        nn.load_params(path, spec)
