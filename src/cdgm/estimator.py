@@ -36,18 +36,23 @@ def coef_index(p: int, j: int, k: int) -> int:
     return j * (p - 1) + (k if k < j else k - 1)
 
 
-def _scatter(out: np.ndarray, p: int) -> np.ndarray:
-    """(n, p(p-1)) head outputs as (n, p, p) matrices with zero diagonal."""
+def _scatter(out: np.ndarray, p: int, beta: np.ndarray | None = None) -> np.ndarray:
+    """(n, p(p-1)) head outputs as (n, p, p) matrices with zero diagonal.
+
+    ``beta``, if given, is a C-contiguous (n, p, p) destination whose
+    diagonal is already zero; only the off-diagonal cells are written.
+    """
     n = out.shape[0]
-    beta = np.zeros((n, p, p))
+    if beta is None:
+        beta = np.zeros((n, p, p))
     # Past cell 0, a row-major p x p matrix is rows of p+1 cells, each ending on the diagonal.
     beta.reshape(n, p * p)[:, 1:].reshape(n, p - 1, p + 1)[:, :, :p] = out.reshape(n, p - 1, p)
     return beta
 
 
-def _predict(out: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _predict(out: np.ndarray, X: np.ndarray, beta: np.ndarray | None = None) -> np.ndarray:
     """Each node as the coefficient-weighted sum of the other nodes."""
-    return np.einsum("njk,nk->nj", _scatter(out, X.shape[1]), X)
+    return np.einsum("njk,nk->nj", _scatter(out, X.shape[1], beta), X)
 
 
 @dataclass
@@ -175,7 +180,11 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
                           clip_norm=cfg.clip_norm, lr_step=cfg.lr_step,
                           lr_decay=cfg.lr_decay)
     model = CdgmModel(p=p, q=q, spec=spec, params=params)
-    jj, kk = offdiag_indices(p)
+    # Per-fit workspaces; a short last batch uses their leading slice.
+    n = Xtr.shape[0]
+    width = min(cfg.batch_size, n)
+    beta_buf = np.zeros((width, p, p))  # _scatter never writes the zero diagonal
+    grad_buf = np.empty(p * (p - 1) * width)
 
     history = TrainHistory()
     best_val = _validation_mse(model, Xval, Zval)
@@ -183,25 +192,33 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
     best_params = params.copy()
     best_epoch = 0
 
-    n = Xtr.shape[0]
     for epoch in range(cfg.epochs):
         lr = nn.scheduled_lr(state, epoch)
         order = shuffle_rng.generator.permutation(n) if cfg.shuffle else np.arange(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
+            B = len(idx)
             xb, zb = Xtr[idx], Ztr[idx]
             out, cache = nn.forward(spec, params, zb, training=True, rng=dropout_rng)
-            resid = _predict(out, xb) - xb
+            resid = _predict(out, xb, beta_buf[:B])
+            resid -= xb
             batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(f"non-finite training loss at epoch {epoch}", epoch=epoch)
-            epoch_loss += batch_loss * len(idx)
-            # d loss / d beta_jk = (2/B) * resid_j * x_k in output coordinates.
-            # Kept column-major, as the old gather was: backward's h_in.T @ grad_out
-            # sums in a layout-dependent order, so a C-ordered copy moves the last bits.
-            grad_out = (xb.T[kk] * (resid * (2.0 / len(idx))).T[jj]).T
-            grads = nn.backward(cache, grad_out)
+            epoch_loss += batch_loss * B
+            # d loss / d beta_jk = (2/B) * resid_j * x_k. Row j*(p-1) + i of the
+            # (p(p-1), B) buffer holds output coordinate (j, k), k != j ascending.
+            xT = np.ascontiguousarray(xb.T)
+            rT = np.ascontiguousarray((resid * (2.0 / B)).T)
+            gT = grad_buf[:p * (p - 1) * B].reshape(p, p - 1, B)
+            for j in range(p):
+                np.multiply(xT[:j], rT[j], out=gT[j, :j])
+                np.multiply(xT[j + 1:], rT[j], out=gT[j, j:])
+            # Handed over column-major, strides (8, 8B): backward's h_in.T @ grad_out
+            # and column sums run in a layout-dependent order, so a C-ordered
+            # gradient with equal values moves the last bits of the parameters.
+            grads = nn.backward(cache, gT.reshape(p * (p - 1), B).T)
             nn.optimizer_step(params, grads, state, lr=lr)
         history.train_loss.append(epoch_loss / n)
 

@@ -25,6 +25,8 @@ from . import baselines, datagen, estimator, graphops, metrics
 from .errors import CdgmError, ShapeMismatch
 
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
+# Model family ``estimator.train`` fits for each network method.
+NETWORK_FAMILIES = {"dnn": "dnn", "reggmm": "linear"}
 # Options fit_eval_lasso reads from ``ExperimentConfig.lasso``.
 LASSO_OPTIONS = ("n_lambdas", "lambda_min_ratio", "tol", "max_iter", "export_paths")
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
@@ -64,6 +66,22 @@ class ExperimentConfig:
         if any(t < 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
             raise ShapeMismatch("thresholds must be nonnegative and ascending")
         self.thresholds = thr
+        # Bad dnn.* values fail here, before any data is generated, through
+        # the same TrainConfig and network spec the fit builds.
+        families = [NETWORK_FAMILIES[m] for m in self.methods if m in NETWORK_FAMILIES]
+        if families:
+            spec = datagen.make_setting(self.setting, seed=self.seeds[0], **self.generator)
+            for family in families:
+                estimator._network_spec(_train_config(self, self.seeds[0], family),
+                                        spec.p, spec.q)
+
+
+def _train_config(cfg: ExperimentConfig, seed: int, family: str) -> estimator.TrainConfig:
+    """The TrainConfig a replicate with ``seed`` fits ``family`` with."""
+    overrides = dict(cfg.dnn)
+    overrides.setdefault("seed", seed)
+    overrides["family"] = family
+    return estimator.default_train_config(cfg.setting, **overrides)
 
 
 def truth_vectors(spec, Z, pseudo: bool) -> np.ndarray:
@@ -124,11 +142,7 @@ def evaluate_graphs(graphs, truths, thresholds) -> dict:
 
 def fit_eval_dnn(cfg: ExperimentConfig, ds: datagen.Dataset, seed: int,
                  family: str) -> dict:
-    overrides = dict(cfg.dnn)
-    overrides.setdefault("seed", seed)
-    overrides["family"] = family
-    train_cfg = estimator.default_train_config(cfg.setting, **overrides)
-    model, history = estimator.train(ds, train_cfg)
+    model, history = estimator.train(ds, _train_config(cfg, seed, family))
     Xte, Zte = ds.part("test")
     graphs = estimator.estimate_graphs(model, Zte)
     truths = truth_vectors(ds.spec, Zte, cfg.pseudo_moral)
@@ -213,10 +227,8 @@ def run_replicate(cfg: ExperimentConfig, index: int) -> dict:
     for method in cfg.methods:
         t0 = time.perf_counter()
         try:
-            if method == "dnn":
-                res = fit_eval_dnn(cfg, ds, seed, family="dnn")
-            elif method == "reggmm":
-                res = fit_eval_dnn(cfg, ds, seed, family="linear")
+            if method in NETWORK_FAMILIES:
+                res = fit_eval_dnn(cfg, ds, seed, family=NETWORK_FAMILIES[method])
             else:
                 res = fit_eval_lasso(cfg, ds)
             res["status"] = "ok"

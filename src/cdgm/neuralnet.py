@@ -18,6 +18,7 @@ from .errors import NonFiniteGradient, ShapeMismatch, StaleCache
 from .numerics import SeededRng
 
 PARAMS_MAGIC = "CDGM-PARAMS-1"
+ADAM_CHUNK = 65536  # optimizer entries updated per pass: 512 KiB per array
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,6 @@ class MlpSpec:
             width = h
         dims.append((width, self.output_dim))
         return dims
-
-    @property
-    def n_hidden_layers(self) -> int:
-        return len(self.block1) + len(self.block2)
 
     @property
     def concat_layer(self) -> int | None:
@@ -134,18 +131,19 @@ def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
         if li == spec.concat_layer:
             h = np.concatenate([h, Z], axis=1)
         inputs.append(h)
-        pre = h @ w + b
+        h = h @ w
+        h += b
         if li == n_layers - 1:  # linear head
-            h = pre
             relu_masks.append(None)
             drop_masks.append(None)
         else:
-            mask = pre > 0.0
-            h = pre * mask
+            mask = h > 0.0
+            h *= mask
             relu_masks.append(mask)
             if use_dropout:
                 keep = rng.generator.random(h.shape) >= spec.dropout
-                h = h * keep / (1.0 - spec.dropout)
+                h *= keep
+                h /= 1.0 - spec.dropout
                 drop_masks.append(keep)
             else:
                 drop_masks.append(None)
@@ -172,24 +170,27 @@ def backward(cache, grad_outputs) -> np.ndarray:
         raise StaleCache(f"gradient shape {g.shape} does not match cached {cache['out_shape']}")
     spec = cache["spec"]
     dims = cache["dims"]
-    grads = np.zeros(sum(i * o + o for i, o in dims))
-    gparams = ParamSet(spec, grads)  # reuse the layout machinery
+    grads = np.empty(spec.n_params)  # every cell is written below
+    glayers = ParamSet(spec, grads).layers()
 
+    # Only the head sees the caller's array; every g a mask touches below
+    # was allocated here, so the masks work in place.
     for li in range(len(dims) - 1, -1, -1):
-        h_in = cache["inputs"][li]
         if cache["relu_masks"][li] is not None:
             keep = cache["drop_masks"][li]
             if keep is not None:
-                g = g * keep / (1.0 - spec.dropout)
-            g = g * cache["relu_masks"][li]
-        gw, gb = gparams.layers()[li]
-        gw[...] = h_in.T @ g
-        gb[...] = g.sum(axis=0)
+                g *= keep
+                g /= 1.0 - spec.dropout
+            g *= cache["relu_masks"][li]
+        gw, gb = glayers[li]
+        np.matmul(cache["inputs"][li].T, g, out=gw)
+        np.sum(g, axis=0, out=gb)
         if li > 0:
             g = g @ cache["weights"][li].T
             if li == spec.concat_layer:
-                g = g[:, : dims[li][0] - spec.input_dim]
-    return gparams.flat
+                # C-ordered, like every other g here: the sums above depend on layout
+                g = np.ascontiguousarray(g[:, : dims[li][0] - spec.input_dim])
+    return grads
 
 
 @dataclass
@@ -207,12 +208,14 @@ class OptimState:
     step_count: int = 0
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
+    scratch: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.m is None:
             self.m = np.zeros(self.n_params)
         if self.v is None:
             self.v = np.zeros(self.n_params)
+        self.scratch = np.empty((2, min(self.n_params, ADAM_CHUNK)))
 
 
 def scheduled_lr(state: OptimState, epoch: int) -> float:
@@ -227,25 +230,43 @@ def optimizer_step(params: ParamSet, gradients: np.ndarray, state: OptimState,
     """One adaptive-moment update with bias correction.
 
     The global gradient norm is clipped to ``state.clip_norm`` before the
-    update. Updates happen in place; params and state are returned for
-    call-site clarity.
+    update. Updates happen in place and ``gradients`` is left as given;
+    params and state are returned for call-site clarity.
     """
     g = np.asarray(gradients, dtype=np.float64)
     if g.shape != params.flat.shape:
         raise ShapeMismatch("gradient/parameter shape mismatch")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradient("gradients contain NaN or inf")
     norm = float(np.linalg.norm(g))
-    if np.isfinite(state.clip_norm) and norm > state.clip_norm and norm > 0.0:
-        g = g * (state.clip_norm / norm)
+    # A finite norm means every entry is finite; scan only when it is not.
+    if not np.isfinite(norm) and not np.all(np.isfinite(g)):
+        raise NonFiniteGradient("gradients contain NaN or inf")
+    clip = np.isfinite(state.clip_norm) and norm > state.clip_norm and norm > 0.0
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
     step_lr = state.base_lr if lr is None else lr
-    params.flat -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # The same operations, in the same order, as m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*g*g and flat -= lr * m_hat / (sqrt(v_hat) + eps);
+    # dividing before the lr product would move the last bits. Chunks keep
+    # each pass in cache.
+    for lo in range(0, g.size, ADAM_CHUNK):
+        gc, m, v = g[lo:lo + ADAM_CHUNK], state.m[lo:lo + ADAM_CHUNK], state.v[lo:lo + ADAM_CHUNK]
+        a, b = state.scratch[:, :gc.size]
+        if clip:
+            gc = np.multiply(gc, state.clip_norm / norm, out=a)
+        np.multiply(gc, 1.0 - state.beta1, out=b)
+        m *= state.beta1
+        m += b
+        np.multiply(gc, 1.0 - state.beta2, out=b)
+        b *= gc
+        v *= state.beta2
+        v += b
+        np.divide(m, 1.0 - state.beta1 ** t, out=a)
+        a *= step_lr
+        np.divide(v, 1.0 - state.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        params.flat[lo:lo + ADAM_CHUNK] -= a
     return params, state
 
 

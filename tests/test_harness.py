@@ -254,6 +254,20 @@ def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("line,message", [("dnn.batch_size = 0", "batch_size"),
+                                          ("dnn.dropout = 1.5", "dropout")])
+def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, message):
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"setting = G1\nn_train = 40\nn_val = 10\nn_test = 10\n"
+                        f"gen.p = 6\nmethods = dnn\nout_dir = {out}\n{line}\n")
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_config_accepts_documented_dotted_keys(tmp_path):
     cfg_file = tmp_path / "ok.cfg"
     cfg_file.write_text("setting = D2\ndnn.lr = 0.001\ndnn.block1 = 8,4\ndnn.epochs = 2\n"

@@ -3,9 +3,11 @@
 The reference below is the training step the output-coordinate kernel
 replaced: a fancy-index scatter of the head output into a dense
 (B, p, p) tensor, an einsum prediction, a second dense gradient tensor
-and a gather back into output coordinates. ``estimator.train``,
-``predict_nodes`` and ``estimate_graphs`` must reproduce it bit for bit
-at canonical dimensions.
+and a gather back into output coordinates. It runs on frozen copies of
+the allocating ``forward``, ``backward`` and ``optimizer_step`` that the
+in-place kernels replaced. ``estimator.train``, ``predict_nodes``,
+``estimate_graphs`` and the ``neuralnet`` kernels must reproduce it bit
+for bit at canonical dimensions.
 """
 
 import numpy as np
@@ -13,17 +15,90 @@ import pytest
 
 import cdgm.neuralnet as nn
 from cdgm import datagen, estimator
+from cdgm.errors import NonFiniteGradient
 from cdgm.numerics import SeededRng
 
 N_TRAIN, N_VAL, N_TEST = 300, 80, 60
 BATCH = 128  # leaves a partial last batch of 44
 
 
+# --- frozen allocating network kernels ---------------------------------------
+
+
+def _ref_forward(spec, params, Z, training=False, rng=None):
+    Z = np.asarray(Z, dtype=np.float64)
+    use_dropout = training and spec.dropout > 0.0
+    layers = params.layers()
+    inputs, relu_masks, drop_masks = [], [], []
+    h = Z
+    for li, (w, b) in enumerate(layers):
+        if li == spec.concat_layer:
+            h = np.concatenate([h, Z], axis=1)
+        inputs.append(h)
+        pre = h @ w + b
+        if li == len(layers) - 1:
+            h = pre
+            relu_masks.append(None)
+            drop_masks.append(None)
+        else:
+            mask = pre > 0.0
+            h = pre * mask
+            relu_masks.append(mask)
+            if use_dropout:
+                keep = rng.generator.random(h.shape) >= spec.dropout
+                h = h * keep / (1.0 - spec.dropout)
+                drop_masks.append(keep)
+            else:
+                drop_masks.append(None)
+    cache = {"spec": spec, "dims": params.dims, "inputs": inputs, "relu_masks": relu_masks,
+             "drop_masks": drop_masks, "weights": [w for w, _ in layers]}
+    return h, cache
+
+
+def _ref_backward(cache, grad_outputs):
+    g = np.asarray(grad_outputs, dtype=np.float64)
+    spec, dims = cache["spec"], cache["dims"]
+    gparams = nn.ParamSet(spec, np.zeros(sum(i * o + o for i, o in dims)))
+    for li in range(len(dims) - 1, -1, -1):
+        h_in = cache["inputs"][li]
+        if cache["relu_masks"][li] is not None:
+            keep = cache["drop_masks"][li]
+            if keep is not None:
+                g = g * keep / (1.0 - spec.dropout)
+            g = g * cache["relu_masks"][li]
+        gw, gb = gparams.layers()[li]
+        gw[...] = h_in.T @ g
+        gb[...] = g.sum(axis=0)
+        if li > 0:
+            g = g @ cache["weights"][li].T
+            if li == spec.concat_layer:
+                g = g[:, : dims[li][0] - spec.input_dim]
+    return gparams.flat
+
+
+def _ref_optimizer_step(params, gradients, state, lr=None):
+    g = np.asarray(gradients, dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteGradient("gradients contain NaN or inf")
+    norm = float(np.linalg.norm(g))
+    if np.isfinite(state.clip_norm) and norm > state.clip_norm and norm > 0.0:
+        g = g * (state.clip_norm / norm)
+    state.step_count += 1
+    t = state.step_count
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    m_hat = state.m / (1.0 - state.beta1 ** t)
+    v_hat = state.v / (1.0 - state.beta2 ** t)
+    step_lr = state.base_lr if lr is None else lr
+    params.flat -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params, state
+
+
 # --- dense reference ---------------------------------------------------------
 
 
 def _ref_coefficients(spec, params, Z, p):
-    out, _ = nn.forward(spec, params, Z)
+    out, _ = _ref_forward(spec, params, Z)
     beta = np.zeros((out.shape[0], p, p))
     jj, kk = estimator.offdiag_indices(p)
     beta[:, jj, kk] = out
@@ -72,15 +147,15 @@ def _ref_train(data, cfg):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             xb, zb = Xtr[idx], Ztr[idx]
-            out, cache = nn.forward(spec, params, zb, training=True, rng=dropout_rng)
+            out, cache = _ref_forward(spec, params, zb, training=True, rng=dropout_rng)
             beta = np.zeros((len(idx), p, p))
             beta[:, jj, kk] = out
             xhat = np.einsum("njk,nk->nj", beta, xb)
             resid = xhat - xb
             epoch_loss += float(np.mean(np.sum(resid * resid, axis=1))) * len(idx)
             gbeta = np.einsum("nj,nk->njk", resid * (2.0 / len(idx)), xb)
-            grads = nn.backward(cache, gbeta[:, jj, kk])
-            nn.optimizer_step(params, grads, state, lr=lr)
+            grads = _ref_backward(cache, gbeta[:, jj, kk])
+            _ref_optimizer_step(params, grads, state, lr=lr)
         train_loss.append(epoch_loss / n)
         val = _ref_validation_mse(spec, params, Xval, Zval)
         val_loss.append(val)
@@ -93,22 +168,26 @@ def _ref_train(data, cfg):
 # --- checks ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("setting,family", [("G1", "dnn"), ("G1", "linear"), ("D2", "dnn")])
-def test_training_matches_dense_reference(setting, family):
+def _train_both(setting, family, n_train, batch):
     spec = datagen.make_setting(setting, seed=7)
     assert spec.p == 50
-    ds = datagen.generate_dataset(spec, N_TRAIN + N_VAL + N_TEST, (N_TRAIN, N_VAL, N_TEST))
-    cfg = estimator.default_train_config(setting, epochs=2, batch_size=BATCH,
+    ds = datagen.generate_dataset(spec, n_train + N_VAL + N_TEST, (n_train, N_VAL, N_TEST))
+    cfg = estimator.default_train_config(setting, epochs=2, batch_size=batch,
                                          base_lr=1e-3, seed=3, family=family)
     model, hist = estimator.train(ds, cfg)
     ref_spec, ref_params, ref_hist = _ref_train(ds, cfg)
-
     assert model.spec == ref_spec
     assert np.array_equal(model.params.flat, ref_params.flat)
     assert hist.train_loss == ref_hist["train_loss"]
     assert hist.val_loss == ref_hist["val_loss"]
     assert hist.init_val_loss == ref_hist["init_val_loss"]
     assert hist.best_epoch == ref_hist["best_epoch"]
+    return ds, spec, model, ref_spec, ref_params
+
+
+@pytest.mark.parametrize("setting,family", [("G1", "dnn"), ("G1", "linear"), ("D2", "dnn")])
+def test_training_matches_dense_reference(setting, family):
+    ds, spec, model, ref_spec, ref_params = _train_both(setting, family, N_TRAIN, BATCH)
 
     Xte, Zte = ds.part("test")
     assert np.array_equal(estimator.predict_nodes(model, Zte, Xte),
@@ -136,3 +215,84 @@ def test_strided_scatter_hand_cases():
             for k in range(p):
                 if k != j:
                     assert np.array_equal(beta[:, j, k], out[:, estimator.coef_index(p, j, k)])
+
+
+@pytest.mark.parametrize("setting,family,n_train,batch", [
+    ("D2", "dnn", 400, 512),     # batch larger than the train split: one short batch per epoch
+    ("G1", "dnn", 300, 100),     # train split an exact multiple of the batch
+    ("G1", "dnn", 1300, 512),    # canonical batch, partial last batch of 276
+    ("G1", "linear", 1300, 512),
+])
+def test_training_workspace_edge_cases(setting, family, n_train, batch):
+    _train_both(setting, family, n_train, batch)
+
+
+def _g1_network():
+    spec = estimator._network_spec(estimator.default_train_config("G1"), p=50, q=2)
+    assert spec.n_params == 333_266
+    return spec, nn.init_params(spec, SeededRng(11, stream=0))
+
+
+@pytest.mark.parametrize("setting,family", [("G1", "dnn"), ("G1", "linear"), ("D2", "dnn")])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_forward_backward_match_frozen_kernels(setting, family, layout):
+    cfg = estimator.default_train_config(setting, family=family)
+    spec = estimator._network_spec(cfg, p=50, q=2)
+    params = nn.init_params(spec, SeededRng(11, stream=0))
+    gen = np.random.default_rng(12)
+    Z = gen.normal(size=(300, 2))
+    for training in (False, True):
+        out, cache = nn.forward(spec, params, Z, training=training, rng=SeededRng(13, stream=2))
+        ref_out, ref_cache = _ref_forward(spec, params, Z, training=training,
+                                          rng=SeededRng(13, stream=2))
+        assert np.array_equal(out, ref_out)
+        grad_out = np.asarray(gen.normal(size=out.shape), order=layout)
+        given = grad_out.copy(order="A")  # same layout: backward's sums depend on it
+        grads = nn.backward(cache, grad_out)
+        assert np.array_equal(grads, _ref_backward(ref_cache, given))
+        assert np.array_equal(grad_out, given)  # the caller's gradient is left alone
+
+
+@pytest.mark.parametrize("scale,clip_norm", [
+    (1e-5, 1.0),     # norm ~ 0.006: clipping inactive
+    (1.0, 1.0),      # norm ~ 577: clipped every step
+    (1.0, np.inf),   # clipping off
+])
+def test_adam_matches_frozen_step_for_40_steps(scale, clip_norm):
+    spec, params = _g1_network()
+    ref_params = params.copy()
+    state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params, clip_norm=clip_norm)
+    ref_state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params, clip_norm=clip_norm)
+    gen = np.random.default_rng(14)
+    for step in range(40):
+        g = gen.normal(scale=scale, size=spec.n_params)
+        given = g.copy()
+        lr = None if step % 2 else nn.scheduled_lr(state, step)
+        nn.optimizer_step(params, g, state, lr=lr)
+        _ref_optimizer_step(ref_params, given, ref_state, lr=lr)
+        assert np.array_equal(g, given)  # the caller's gradient is left alone
+    assert np.array_equal(params.flat, ref_params.flat)
+    assert np.array_equal(state.m, ref_state.m)
+    assert np.array_equal(state.v, ref_state.v)
+    assert state.step_count == ref_state.step_count == 40
+
+
+def test_adam_rejects_each_kind_of_non_finite_entry():
+    spec, params = _g1_network()
+    before = params.flat.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params)
+        g = np.zeros(spec.n_params)
+        g[123_456] = bad
+        with pytest.raises(NonFiniteGradient):
+            nn.optimizer_step(params, g, state)
+        assert state.step_count == 0
+    assert np.array_equal(params.flat, before)
+    # finite entries whose squares overflow the norm raise nothing and step as before
+    state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params)
+    g = np.full(spec.n_params, 1e300)
+    ref_params, ref_state = params.copy(), nn.OptimState(base_lr=1e-3, n_params=spec.n_params)
+    with np.errstate(over="ignore"):
+        nn.optimizer_step(params, g, state)
+        _ref_optimizer_step(ref_params, g, ref_state)
+    assert np.array_equal(params.flat, ref_params.flat)
