@@ -10,6 +10,7 @@ coefficients.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,6 +89,14 @@ class TrainConfig:
             raise ShapeMismatch("batch_size and epochs must be >= 1")
         if self.family not in ("dnn", "linear"):
             raise ShapeMismatch(f"unknown model family {self.family!r}")
+        if self.lr_step < 1:
+            raise ShapeMismatch("lr_step must be >= 1")
+        if not self.clip_norm > 0:
+            raise ShapeMismatch("clip_norm must be > 0 (inf turns clipping off)")
+        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
+            raise ShapeMismatch("base_lr must be finite and >= 0")
+        if not (math.isfinite(self.lr_decay) and self.lr_decay > 0):
+            raise ShapeMismatch("lr_decay must be finite and > 0")
 
 
 # Per-setting defaults: wide Gaussian/NPN settings train longer, DAG

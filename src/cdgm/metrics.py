@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateLabels, ShapeMismatch
 
@@ -30,6 +29,36 @@ def _check_binary(scores, labels):
     return scores, labels
 
 
+def _tie_groups(scores) -> tuple[np.ndarray, np.ndarray]:
+    """Stable descending sort order of ``scores`` and one past the last
+    sorted position of every tie group."""
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    return order, np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1, scores.size)
+
+
+def _per_score(order, ends, group_values) -> np.ndarray:
+    """Scatter one value per tie group back to every score."""
+    out = np.empty(order.size)
+    out[order] = np.repeat(group_values, np.diff(ends, prepend=0))
+    return out
+
+
+def _midranks(scores) -> np.ndarray:
+    """Ascending ranks with ties averaged, all NaN if any score is NaN
+    (``scipy.stats.rankdata(scores, method="average")``).
+
+    Sorted descending, a group at positions ``start..end-1`` holds the
+    ascending ranks ``n-end+1..n-start``; their mean is a multiple of 1/2,
+    so sums of midranks are exact below 2**53.
+    """
+    if np.isnan(scores).any():
+        return np.full(scores.size, np.nan)
+    order, ends = _tie_groups(scores)
+    starts = np.append(0, ends[:-1])
+    return _per_score(order, ends, (2 * scores.size + 1 - starts - ends) / 2)
+
+
 def auroc(scores, labels) -> float:
     """P(score_pos > score_neg) + 0.5 P(tie), via midranks."""
     scores, labels = _check_binary(scores, labels)
@@ -37,7 +66,7 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     pos_rank_sum = float(np.sum(ranks[labels]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -52,15 +81,9 @@ def auprc(scores, labels) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise DegenerateLabels("need at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    # one past the last sorted position of every tie group
-    ends = np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1, scores.size)
+    order, ends = _tie_groups(scores)
     seen = np.cumsum(labels[order])[ends - 1]
-    group = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
-    precision = np.empty(scores.size)
-    precision[order] = (seen / ends)[group]
-    return float(np.mean(precision[labels]))
+    return float(np.mean(_per_score(order, ends, seen / ends)[labels]))
 
 
 def f1_ba(predicted, truth) -> tuple[float, float]:

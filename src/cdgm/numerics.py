@@ -69,17 +69,6 @@ def cholesky(m) -> np.ndarray:
     return low
 
 
-def invert_spd(m) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky solves.
-
-    Desk-scale oracle helper (p <= a few hundred); not a general inverse.
-    """
-    low = cholesky(m)
-    eye = np.eye(low.shape[0])
-    y = solve_triangular(low, eye, lower=True)
-    return solve_triangular(low.T, y, lower=False)
-
-
 def sample_from_precision(theta, count: int, rng: SeededRng) -> np.ndarray:
     """Draw ``count`` i.i.d. rows from N(0, theta^{-1}).
 

@@ -223,6 +223,21 @@ def test_model_roundtrip(tmp_path):
                           estimator.estimate_graphs(model, Z))
 
 
+@pytest.mark.parametrize("field,value", [("lr_step", 0), ("clip_norm", 0.0),
+                                         ("clip_norm", -1.0), ("clip_norm", np.nan),
+                                         ("base_lr", -1e-3), ("base_lr", np.inf),
+                                         ("base_lr", np.nan), ("lr_decay", 0.0),
+                                         ("lr_decay", np.inf)])
+def test_train_config_rejects_bad_schedule_values(field, value):
+    with pytest.raises(ShapeMismatch, match=field):
+        estimator.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_zero_lr_and_no_clipping():
+    cfg = estimator.TrainConfig(base_lr=0.0, clip_norm=np.inf, lr_step=1, lr_decay=1.0)
+    assert cfg.clip_norm == np.inf and cfg.base_lr == 0.0
+
+
 def test_default_config_per_setting():
     g1 = estimator.default_train_config("G1")
     assert g1.epochs == 50 and g1.block1 == (128, 64) and g1.dropout == 0.3

@@ -255,7 +255,9 @@ def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
 
 
 @pytest.mark.parametrize("line,message", [("dnn.batch_size = 0", "batch_size"),
-                                          ("dnn.dropout = 1.5", "dropout")])
+                                          ("dnn.dropout = 1.5", "dropout"),
+                                          ("dnn.lr_step = 0", "lr_step"),
+                                          ("dnn.clip_norm = -1", "clip_norm")])
 def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, message):
     out = tmp_path / "run"
     cfg_file = tmp_path / "bad.cfg"
@@ -266,6 +268,14 @@ def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, 
     assert proc.returncode == 1
     assert proc.stderr.startswith("usage error:") and message in proc.stderr
     assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~0.8 s of start-up; the package must not need it.
+    code = "import sys, cdgm.harness, cdgm.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_config_accepts_documented_dotted_keys(tmp_path):

@@ -102,6 +102,51 @@ def test_auprc_matches_naive_oracle_exactly():
         assert metrics.auprc(scores, labels) == auprc_bruteforce(scores, labels)
 
 
+def _midrank_cases():
+    gen = np.random.default_rng(6)
+    yield np.array([0.7])
+    yield np.array([0.2, 0.2])
+    yield np.array([-0.0, 0.0])
+    yield np.full(1225, 0.4)
+    yield np.array([np.inf, -np.inf, np.inf, 0.0, -np.inf, np.inf])
+    for trial in range(200):
+        n = int(gen.integers(2, 1226))
+        levels = gen.normal(size=int(gen.integers(1, 6)))
+        scores = levels[gen.integers(0, len(levels), n)] if trial % 4 else gen.normal(size=n)
+        if trial % 5 == 0:
+            scores[: n // 3] = np.inf
+        if trial % 7 == 0:
+            scores[n // 2:] = -np.inf
+        yield scores
+
+
+def test_midranks_match_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    for scores in _midrank_cases():
+        assert np.array_equal(metrics._midranks(scores), rankdata(scores, method="average"))
+
+
+def test_auroc_equals_rankdata_formula_bit_for_bit():
+    from scipy.stats import rankdata
+
+    gen = np.random.default_rng(7)
+    for scores in _midrank_cases():
+        if scores.size < 2:
+            continue
+        labels = gen.random(scores.size) < gen.uniform(0.05, 0.95)
+        labels[0], labels[-1] = True, False
+        n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+        pos_rank_sum = float(np.sum(rankdata(scores, method="average")[labels]))
+        expect = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert metrics.auroc(scores, labels) == expect
+
+
+def test_auroc_nan_score_gives_nan():
+    assert np.isnan(metrics.auroc([0.1, np.nan, 0.3, 0.3], [1, 0, 1, 0]))
+    assert np.isnan(metrics._midranks(np.array([0.1, np.nan]))).all()
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_auroc_invariant_under_monotone_transform(data):

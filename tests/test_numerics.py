@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdgm.errors import NotPositiveDefinite, ShapeMismatch
-from cdgm.numerics import SeededRng, cholesky, invert_spd, sample_from_precision
+from cdgm.numerics import SeededRng, cholesky, sample_from_precision
 
 
 def test_cholesky_identity():
@@ -77,13 +77,6 @@ def test_cholesky_stack_checks_every_matrix():
         cholesky(nan)
     with pytest.raises(ShapeMismatch):
         cholesky(np.ones((2, 3, 4)))
-
-
-def test_invert_spd_matches_numpy():
-    gen = np.random.default_rng(3)
-    a = gen.normal(size=(6, 6))
-    m = a @ a.T + 6 * np.eye(6)
-    assert np.abs(invert_spd(m) - np.linalg.inv(m)).max() < 1e-10
 
 
 def test_sampler_identity_precision_covariance():
