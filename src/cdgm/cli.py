@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, estimator, graphops, harness, theory
-from .errors import CdgmError
+from .errors import CdgmError, DomainError
 
 
 class UsageError(Exception):
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:  # theory's inputs are the bounds arguments
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import CyclicGraph, NotPositiveDefinite, ShapeMismatch
 from .numerics import SeededRng, cholesky
@@ -619,9 +618,8 @@ def _generate_gaussian(spec: SettingSpec, n: int, seed: int):
         rest = np.flatnonzero(~factored)
         if rest.size:
             low[rest] = cholesky(_mix(weights[rest], spec.candidates))
-        # low is finite (cholesky checks theta) and so is u
-        X[lo:lo + len(gens)] = solve_triangular(low.transpose(0, 2, 1), u[:, :, None],
-                                                lower=False, check_finite=False)[:, :, 0]
+        # exact triangular solves; see numerics.sample_from_precision
+        X[lo:lo + len(gens)] = np.linalg.solve(low.transpose(0, 2, 1), u[:, :, None])[:, :, 0]
         Z[lo:lo + len(gens)] = z
     if spec.npn_kind is not None:
         X = npn_transform(X, spec.npn_kind)

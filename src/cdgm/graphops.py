@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllZeroGraph, MarginViolated, ShapeMismatch
+from .errors import AllZeroGraph, ShapeMismatch
 
 
 def normalize(w) -> np.ndarray:
@@ -61,18 +61,6 @@ def threshold_and(w, tau: float) -> np.ndarray:
     skel = (scores >= tau) & (scores > 0.0)
     np.fill_diagonal(skel, False)
     return skel
-
-
-def margin_threshold(weak_max: float, strong_min: float, eta: float) -> float:
-    """Threshold between the weak-edge ceiling and strong-edge floor:
-    eta * weak_max + (1 - eta) * strong_min."""
-    if not 0.0 < eta < 1.0:
-        raise ShapeMismatch(f"eta must be in (0, 1), got {eta}")
-    if weak_max < 0:
-        raise ShapeMismatch("weak-edge ceiling must be nonnegative")
-    if strong_min <= weak_max:
-        raise MarginViolated(f"strong floor {strong_min} <= weak ceiling {weak_max}")
-    return eta * weak_max + (1.0 - eta) * strong_min
 
 
 def skeleton_edge_list(skel) -> list[tuple[int, int]]:

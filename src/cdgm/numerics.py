@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite, ShapeMismatch
 
@@ -72,11 +71,17 @@ def cholesky(m) -> np.ndarray:
 def sample_from_precision(theta, count: int, rng: SeededRng) -> np.ndarray:
     """Draw ``count`` i.i.d. rows from N(0, theta^{-1}).
 
-    Uses x = L^{-T} u with theta = L L^T and u standard normal, so the
-    cost per draw is one triangular solve.
+    Uses x = L^{-T} u with theta = L L^T and u standard normal: one
+    factorisation, then one solve against L^T for all draws.
+
+    ``np.linalg.solve`` (LAPACK ``gesv``) on L^T gives the same bits as a
+    triangular solve (``trtrs``): L^T has exact zeros below a positive
+    diagonal, so partial pivoting swaps no rows, every multiplier is 0,
+    the LU step leaves L^T and u unchanged, and what remains is the upper
+    TRSM call that ``trtrs`` makes. ``datagen`` relies on this too.
     """
     low = cholesky(theta)
     p = low.shape[0]
     u = rng.generator.standard_normal((count, p))
     # Solve L^T x^T = u^T  =>  x = u L^{-1} stacked row-wise.
-    return solve_triangular(low.T, u.T, lower=False).T
+    return np.linalg.solve(low.T, u.T).T

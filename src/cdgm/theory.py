@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import binom
-
 from .errors import DomainError, MarginViolated
 
 
@@ -85,13 +83,36 @@ def network_size_for_rate(m: float, q: int, rate: float) -> tuple[int, int]:
     depth ceil(rate^{-q/2m}), width ceil((2e)^q C(m+q, q) q^2).
 
     The ceilings take a 1e-9 slack so boundary values (rate -> 1 gives
-    depth 1) are not bumped up by float fuzz.
+    depth 1) are not bumped up by float fuzz. q must be below 20, where
+    ``_binom`` reproduces scipy's binom; the cut loses no exact width,
+    as from q = 19 on the width exceeds 2**53 for every m > 0.
     """
     _require(m > 0 and q >= 1, "m and q must be positive")
+    _require(q < 20, "q must be below 20: the width would exceed 2**53")
     _require(0.0 < rate < 1.0, "rate must lie in (0, 1)")
     depth = math.ceil(rate ** (-q / (2.0 * m)) - 1e-9)
-    width = math.ceil((2.0 * math.e) ** q * float(binom(m + q, q)) * q * q - 1e-9)
+    width = math.ceil((2.0 * math.e) ** q * _binom(m + q, q) * q * q - 1e-9)
     return depth, width
+
+
+def _binom(n: float, k: int) -> float:
+    """C(n, k) for real n > 0 and integer 0 <= k < 20, by the product formula.
+
+    The same operations, in the same order, as ``scipy.special.binom`` in
+    this case: k is first reduced to n - k when n is an integer and
+    k > n / 2, and the running product is rescaled once it passes 1e50.
+    """
+    n, kx = float(n), float(k)
+    if n == math.floor(n) and kx > n / 2:
+        kx = n - kx
+    num = den = 1.0
+    for i in range(1, 1 + int(kx)):
+        num *= i + n - kx
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
 
 
 def generalization_error_term(b: BoundInputs) -> float:

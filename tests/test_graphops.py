@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdgm import graphops
-from cdgm.errors import AllZeroGraph, MarginViolated, ShapeMismatch
+from cdgm.errors import AllZeroGraph, ShapeMismatch
 
 
 def offdiag(p, gen):
@@ -87,20 +87,6 @@ def test_threshold_invariant_to_positive_rescaling_after_normalize():
     a = graphops.threshold_and(graphops.normalize(w), 0.3)
     b = graphops.threshold_and(graphops.normalize(17.0 * w), 0.3)
     assert np.array_equal(a, b)
-
-
-def test_margin_threshold_values():
-    assert graphops.margin_threshold(0.1, 0.5, 0.5) == pytest.approx(0.3)
-    assert graphops.margin_threshold(0.2, 0.6, 0.25) == pytest.approx(0.5)
-    # eta near 0 pushes the threshold to the strong-edge floor
-    assert graphops.margin_threshold(0.1, 0.5, 1e-9) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_margin_threshold_validation():
-    with pytest.raises(MarginViolated):
-        graphops.margin_threshold(0.5, 0.4, 0.5)
-    with pytest.raises(ShapeMismatch):
-        graphops.margin_threshold(0.1, 0.5, 1.5)
 
 
 def test_magnitude_histogram_counts_offdiagonal_entries():

@@ -278,6 +278,32 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_runtime_never_loads_scipy():
+    # the triangular solves and the binomial coefficient are numpy/pure
+    # Python; scipy is a test-only oracle
+    code = """
+import sys
+import numpy as np
+import cdgm.cli
+import cdgm.harness
+from cdgm import datagen, numerics, theory
+for setting in ("G1", "G2", "N2"):
+    datagen.generate_dataset(datagen.make_setting(setting, seed=1), 40, (20, 10, 10))
+numerics.sample_from_precision(np.eye(3), 5, numerics.SeededRng(0))
+theory.network_size_for_rate(2.0, 3, 0.1)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_bounds_out_of_domain_exits_one(capsys):
+    rc = cli.main(["bounds", "--n", "1e300", "--p", "2", "--q", "20"])
+    assert rc == 1
+    assert "q must be below 20" in capsys.readouterr().err
+
+
 def test_cli_config_accepts_documented_dotted_keys(tmp_path):
     cfg_file = tmp_path / "ok.cfg"
     cfg_file.write_text("setting = D2\ndnn.lr = 0.001\ndnn.block1 = 8,4\ndnn.epochs = 2\n"

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -125,3 +129,44 @@ def test_seeded_rng_child_streams_differ():
     assert not np.array_equal(a, b)
     again = SeededRng(11, 0).child(1).generator.standard_normal(4)
     assert np.array_equal(a, again)
+
+
+# scipy's triangular solve (LAPACK trtrs) is the reference for the solves
+# that go through np.linalg.solve: the stacked form datagen uses on
+# FACTOR_CHUNK factors, and sample_from_precision. The bits may depend on
+# the BLAS thread count, so each count runs in a fresh process.
+SOLVE_ORACLE = """
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from cdgm.datagen import FACTOR_CHUNK
+from cdgm.numerics import SeededRng, cholesky, sample_from_precision
+
+gen = np.random.default_rng(3)
+checked = differ = 0
+for p in (1, 2, 7, 50, 90, 200):
+    a = gen.normal(size=(FACTOR_CHUNK, p, p))
+    up = cholesky(a @ a.transpose(0, 2, 1) + p * np.eye(p)).transpose(0, 2, 1)
+    u = gen.standard_normal((FACTOR_CHUNK, p))[:, :, None]
+    ref = solve_triangular(up, u, lower=False, check_finite=False)
+    got = np.linalg.solve(up, u)
+    checked, differ = checked + 1, differ + (not np.array_equal(got, ref))
+for p in (1, 7, 50, 200):
+    a = gen.normal(size=(p, p))
+    theta = a @ a.T + p * np.eye(p)
+    low = cholesky(theta)
+    for count in (1, 5, 200, 3000):
+        x = sample_from_precision(theta, count, SeededRng(p, count))
+        u = SeededRng(p, count).generator.standard_normal((count, p))
+        ref = solve_triangular(low.T, u.T, lower=False).T
+        checked, differ = checked + 1, differ + (not np.array_equal(x, ref))
+print(checked, differ)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_solves_match_scipy_triangular_solve_bit_for_bit(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", SOLVE_ORACLE], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.split() == ["22", "0"]

@@ -72,6 +72,25 @@ def test_network_size_examples():
         theory.network_size_for_rate(1.0, 1, 0.0)
 
 
+def test_binom_matches_scipy_bit_for_bit():
+    from scipy.special import binom
+
+    ms = [1e-7, 0.01, 0.5, 1.0, 1.5, 2.0, 3.0, math.pi, 7.0, 12.0, 19.0, 20.0, 33.0, 1e3,
+          1e6, 1e12]
+    ms += list(np.random.default_rng(2).uniform(0.0, 60.0, 200))
+    for m in ms:
+        for q in range(1, 20):
+            assert theory._binom(m + q, q) == binom(m + q, q), (m, q)
+
+
+def test_network_size_rejects_q_from_20():
+    # the width passes 2**53 at q = 19 already; from q = 20 scipy's binom
+    # leaves the product formula that theory._binom reproduces
+    assert theory.network_size_for_rate(1.0, 19, 0.5)[1] > 2 ** 53
+    with pytest.raises(DomainError):
+        theory.network_size_for_rate(1.0, 20, 0.5)
+
+
 def test_network_depth_monotone_in_rate():
     depths = [theory.network_size_for_rate(2.0, 3, r)[0] for r in (0.9, 0.1, 0.001)]
     assert depths[0] <= depths[1] <= depths[2]

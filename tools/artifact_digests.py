@@ -1,8 +1,10 @@
 """Digests of the deterministic artifacts of fixed experiment configs.
 
-Runs the acceptance test's c12 config and the benchmark workloads'
-configs (``benchmark/workloads.py``) at replicate seeds 1000 and 2001
-with whichever ``cdgm`` is importable, and prints one ``sha256  path``
+Runs the acceptance test's c12 config, small canonical-p G2 and N2
+lasso configs (the settings whose negative-weight mixes are factored one
+at a time), and the benchmark workloads' configs
+(``benchmark/workloads.py``) at replicate seeds 1000 and 2001 with
+whichever ``cdgm`` is importable, and prints one ``sha256  path``
 line per artifact: ``report.csv`` without its ``runtime_s`` column,
 ``summary.csv``, the histogram CSVs and the replicate JSONs without
 ``runtime_s``. Two source trees write the same artifacts exactly when
@@ -38,6 +40,13 @@ def configs(root: Path):
         methods=("dnn", "nodewise-lasso"), thresholds=(0.05, 0.1), out_dir=str(root / "c12"),
         dnn=dict(epochs=3, block1=(16,), block2=(8,), batch_size=128),
         lasso=dict(n_lambdas=8), generator=dict(p=12))
+    for setting in ("G2", "N2"):
+        for seed in SEEDS:
+            run = f"{setting.lower()}-lasso-{seed}"
+            yield run, harness.ExperimentConfig(
+                setting=setting, replicates=1, seeds=(seed,), n_train=300, n_val=50,
+                n_test=100, methods=("nodewise-lasso",), thresholds=(0.05, 0.1),
+                out_dir=str(root / run), lasso=dict(n_lambdas=8, lambda_min_ratio=0.1))
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             run = f"{name}-{seed}"
