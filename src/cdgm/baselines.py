@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphops
 from . import metrics as metrics_mod
 from .errors import ShapeMismatch
-from .graphops import symmetric_scores
 
 
 def soft_threshold(v, lam):
@@ -158,30 +158,44 @@ def write_path_csv(path: LassoPath, out_file) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def best_over_path(path: LassoPath, truth, metric="auroc", score_method: str = "min",
-                   per_sample: bool = False):
+def score_graphs(graphs, patterns, thresholds=(), rank=("auroc", "auprc")) -> dict:
+    """``metrics.score_rows`` of every graph against every label pattern:
+    each array comes back shaped (graphs, patterns, ...)."""
+    scores, peaks = graphops.pair_scores(graphs)
+    g, k = len(scores), len(patterns)
+    res = metrics_mod.score_rows(np.repeat(scores, k, axis=0), patterns,
+                                 np.tile(np.arange(k), g), np.repeat(peaks, k),
+                                 thresholds, rank)
+    return {name: v.reshape(g, k, *v.shape[1:]) for name, v in res.items()}
+
+
+def best_penalty(lambdas, values, inverse) -> tuple[float | None, float, list | None]:
+    """The penalty whose per-sample values ``values[g][inverse]`` (one row
+    of per-pattern values per penalty) have the largest exact mean; ties
+    go to the larger penalty. Returns (penalty, mean, per-sample values)."""
+    best_lam, best_val, best_vals = None, -np.inf, None
+    for lam, distinct in zip(lambdas, values):
+        vals = distinct[inverse].tolist()
+        val = math.fsum(vals) / len(vals)
+        if val > best_val:
+            best_lam, best_val, best_vals = float(lam), val, vals
+    return best_lam, best_val, best_vals
+
+
+def best_over_path(path: LassoPath, truth, metric="auroc", per_sample: bool = False):
     """Best metric value along the path; ties go to the larger penalty.
 
     ``truth`` is either one boolean skeleton or a list of per-sample
     skeletons to average over; the value at a penalty is the mean of the
     per-sample values, each distinct skeleton scored once. ``metric`` is
-    'auroc', 'auprc', or a callable (scores, labels) -> float. Returns
-    (penalty, value), plus the per-sample values at that penalty when
-    ``per_sample`` is set.
+    'auroc' or 'auprc'. Returns (penalty, value), plus the per-sample
+    values at that penalty when ``per_sample`` is set.
     """
     if len(path.graphs) == 0:
         raise ShapeMismatch("empty path")
-    fn = metric if callable(metric) else {"auroc": metrics_mod.auroc,
-                                          "auprc": metrics_mod.auprc}[metric]
     truths = np.asarray(truth, dtype=bool)
     iu = np.triu_indices(truths.shape[-1], k=1)
     patterns, inverse = metrics_mod.distinct_rows(np.atleast_2d(truths[..., iu[0], iu[1]]))
-    best_lam, best_val, best_vals = None, -np.inf, None
-    for lam, w in zip(path.lambdas, path.graphs):
-        scores = symmetric_scores(w, method=score_method)[iu]
-        distinct = [fn(scores, vec) for vec in patterns]
-        vals = [distinct[k] for k in inverse]
-        val = math.fsum(vals) / len(vals)
-        if val > best_val:
-            best_lam, best_val, best_vals = float(lam), val, vals
-    return (best_lam, best_val, best_vals) if per_sample else (best_lam, best_val)
+    best = best_penalty(path.lambdas, score_graphs(path.graphs, patterns, rank=(metric,))[metric],
+                        inverse)
+    return best if per_sample else best[:2]

@@ -106,6 +106,19 @@ def parse_config_file(path) -> harness.ExperimentConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _thresholds(text: str) -> tuple[float, ...]:
+    """Comma-separated thresholds under ``harness.check_thresholds``'s rule."""
+    try:
+        return harness.check_thresholds(text.split(","))
+    except (ValueError, CdgmError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+
+
+def _threshold(text: str) -> float:
+    (tau,) = _thresholds(text)  # a list is a ValueError, so a usage error too
+    return tau
+
+
 def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
     if splits_arg:
         parts = tuple(int(v) for v in splits_arg.split(","))
@@ -157,8 +170,7 @@ def cmd_eval(args) -> int:
     Xte, Zte = ds.part("test")
     graphs = estimator.estimate_graphs(model, Zte)
     truths = harness.truth_vectors(ds.spec, Zte, args.pseudo_moral)
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
-    per_sample = harness.evaluate_graphs(graphs, truths, thresholds)
+    per_sample = harness.evaluate_graphs(graphs, truths, args.thresholds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {k: math.fsum(v) / len(v) for k, v in per_sample.items()}
@@ -272,8 +284,8 @@ def build_parser() -> _Parser:
     e.add_argument("--model", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--pseudo-moral", action="store_true", dest="pseudo_moral")
-    e.add_argument("--thresholds", default="0.01,0.025,0.05,0.075,0.1")
-    e.add_argument("--edge-list-tau", type=float, default=None, dest="edge_list_tau",
+    e.add_argument("--thresholds", type=_thresholds, default="0.01,0.025,0.05,0.075,0.1")
+    e.add_argument("--edge-list-tau", type=_threshold, default=None, dest="edge_list_tau",
                    help="also write skeleton edge lists thresholded at this level")
     e.set_defaults(fn=cmd_eval)
 

@@ -49,18 +49,45 @@ def symmetric_scores(w, method: str = "min") -> np.ndarray:
     return s
 
 
+def threshold_pairs(scores, tau: float) -> np.ndarray:
+    """Pairs whose symmetric score reaches ``tau``; exact zeros never survive."""
+    if tau < 0:
+        raise ShapeMismatch("threshold must be nonnegative")
+    return (scores >= tau) & (scores > 0.0)
+
+
 def threshold_and(w, tau: float) -> np.ndarray:
     """Boolean skeleton: edge (j, k) iff both |w_jk| and |w_kj| reach tau.
 
     Entries that are exactly zero never survive hard-thresholding, so at
     tau = 0 the skeleton contains the pairs with both entries nonzero.
     """
-    if tau < 0:
-        raise ShapeMismatch("threshold must be nonnegative")
-    scores = symmetric_scores(w, method="min")
-    skel = (scores >= tau) & (scores > 0.0)
+    skel = threshold_pairs(symmetric_scores(w, method="min"), tau)
     np.fill_diagonal(skel, False)
     return skel
+
+
+def pair_scores(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric ``min`` scores of a (m, p, p) stack over the upper-triangle
+    pairs j < k, one row per graph, and each graph's normalising peak
+    (its largest off-diagonal magnitude, as in ``normalize``)."""
+    graphs = np.asarray(graphs, dtype=np.float64)
+    m, p = graphs.shape[0], graphs.shape[-1]
+    j, k = np.triu_indices(p, k=1)
+    flat = graphs.reshape(m, p * p)
+    upper, lower = np.abs(flat[:, j * p + k]), np.abs(flat[:, k * p + j])
+    return np.minimum(upper, lower), np.maximum(upper, lower).max(axis=1, initial=0.0)
+
+
+def normalize_pairs(scores, peaks) -> np.ndarray:
+    """Rows of ``pair_scores`` as scored on ``normalize_if_nonzero``'d graphs.
+
+    Dividing by a positive peak is monotone and |a|/p = |a/p|, so it
+    commutes with the pair minimum: ``threshold_pairs`` of row i equals
+    ``threshold_and(normalize_if_nonzero(g_i), tau)`` over the pairs. A
+    zero peak leaves the row as is.
+    """
+    return scores / np.where(peaks == 0.0, 1.0, peaks)[:, None]
 
 
 def skeleton_edge_list(skel) -> list[tuple[int, int]]:

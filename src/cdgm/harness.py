@@ -32,6 +32,14 @@ LASSO_OPTIONS = ("n_lambdas", "lambda_min_ratio", "tol", "max_iter", "export_pat
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
 
 
+def check_thresholds(values) -> tuple[float, ...]:
+    """Thresholds as floats, each nonnegative (not NaN), in ascending order."""
+    thr = tuple(float(t) for t in values)
+    if not all(t >= 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
+        raise ShapeMismatch("thresholds must be nonnegative and ascending")
+    return thr
+
+
 @dataclass
 class ExperimentConfig:
     setting: str
@@ -62,10 +70,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ShapeMismatch(f"unknown method {m!r}")
-        thr = tuple(float(t) for t in self.thresholds)
-        if any(t < 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
-            raise ShapeMismatch("thresholds must be nonnegative and ascending")
-        self.thresholds = thr
+        self.thresholds = check_thresholds(self.thresholds)
         # Bad dnn.* values fail here, before any data is generated, through
         # the same TrainConfig and network spec the fit builds.
         families = [NETWORK_FAMILIES[m] for m in self.methods if m in NETWORK_FAMILIES]
@@ -101,42 +106,18 @@ def truth_vectors(spec, Z, pseudo: bool) -> np.ndarray:
 def evaluate_graphs(graphs, truths, thresholds) -> dict:
     """Per-sample metrics for covariate-specific graph estimates.
 
-    ``graphs``: (n, p, p) coefficient graphs; ``truths``: list of boolean
-    skeletons (or upper-triangle vectors). Returns per-sample lists for
-    auroc/auprc plus f1/ba at every threshold on normalized graphs under
-    the AND rule.
+    ``graphs``: (n, p, p) coefficient graphs; ``truths``: (n, pairs)
+    upper-triangle label rows (``truth_vectors``). Returns per-sample lists
+    for auroc/auprc plus f1/ba at every threshold on normalized graphs
+    under the AND rule, all from one ``metrics.score_rows`` call.
     """
-    graphs = np.asarray(graphs)
-    p = graphs.shape[1]
-    iu = np.triu_indices(p, k=1)
-    label_vecs = []
-    skels = []
-    for t in truths:
-        t = np.asarray(t)
-        if t.ndim == 2:
-            skels.append(t.astype(bool))
-            label_vecs.append(t.astype(bool)[iu])
-        else:
-            vec = t.astype(bool)
-            full = np.zeros((p, p), dtype=bool)
-            full[iu] = vec
-            skels.append(full | full.T)
-            label_vecs.append(vec)
-
-    score_vecs = [graphops.symmetric_scores(g)[iu] for g in graphs]
-    result = {
-        "auroc": [metrics.auroc(s, l) for s, l in zip(score_vecs, label_vecs)],
-        "auprc": [metrics.auprc(s, l) for s, l in zip(score_vecs, label_vecs)],
-    }
-    for tau in thresholds:
-        f1s, bas = [], []
-        for g, skel in zip(graphs, skels):
-            pred = graphops.threshold_and(graphops.normalize_if_nonzero(g), tau)
-            f1, ba = metrics.f1_ba(pred, skel)
-            f1s.append(f1)
-            bas.append(ba)
-        result[f"f1@{tau:g}"] = f1s
-        result[f"ba@{tau:g}"] = bas
+    scores, peaks = graphops.pair_scores(graphs)
+    patterns, inverse = metrics.distinct_rows(np.asarray(truths, dtype=bool))
+    res = metrics.score_rows(scores, patterns, inverse, peaks, thresholds)
+    result = {"auroc": res["auroc"].tolist(), "auprc": res["auprc"].tolist()}
+    for i, tau in enumerate(thresholds):
+        result[f"f1@{tau:g}"] = res["f1"][:, i].tolist()
+        result[f"ba@{tau:g}"] = res["ba"][:, i].tolist()
     return result
 
 
@@ -162,8 +143,6 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
     Xtr, Ztr = ds.part("train")
     labels = datagen.cluster_labels(ds.spec, Ztr)
     truths = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
-    p = ds.spec.p
-    iu = np.triu_indices(p, k=1)
     opts = dict(cfg.lasso)
     n_lambdas = int(opts.get("n_lambdas", 50))
     min_ratio = float(opts.get("lambda_min_ratio", 0.001))
@@ -190,24 +169,19 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
             baselines.write_path_csv(path, out / f"lasso_path_cluster{cluster}.csv")
         # every member shares the path, so each distinct truth is scored once
         patterns, inverse = metrics.distinct_rows(truths[members])
-        skels = np.zeros((len(patterns), p, p), dtype=bool)
-        skels[:, iu[0], iu[1]] = patterns
-        skels |= skels.transpose(0, 2, 1)
-
+        ranked = baselines.score_graphs(path.graphs, patterns)
         for metric_name in ("auroc", "auprc"):
-            best_lam, _, best_vals = baselines.best_over_path(
-                path, skels[inverse], metric=metric_name, per_sample=True)
+            best_lam, _, best_vals = baselines.best_penalty(
+                path.lambdas, ranked[metric_name], inverse)
             per_sample[metric_name][members] = best_vals
             best_lambdas[f"{metric_name}_cluster{cluster}"] = best_lam
             if metric_name == "auroc":
                 auroc_graph = path.graphs[int(np.argwhere(path.lambdas == best_lam)[0][0])]
 
-        g_norm = graphops.normalize_if_nonzero(auroc_graph)
-        for tau in cfg.thresholds:
-            pred = graphops.threshold_and(g_norm, tau)
-            pairs = np.array([metrics.f1_ba(pred, skel) for skel in skels])[inverse]
-            per_sample[f"f1@{tau:g}"][members] = pairs[:, 0]
-            per_sample[f"ba@{tau:g}"][members] = pairs[:, 1]
+        scored = baselines.score_graphs([auroc_graph], patterns, cfg.thresholds, rank=())
+        for i, tau in enumerate(cfg.thresholds):
+            per_sample[f"f1@{tau:g}"][members] = scored["f1"][0, inverse, i]
+            per_sample[f"ba@{tau:g}"][members] = scored["ba"][0, inverse, i]
 
     return {
         "per_sample": {k: v.tolist() for k, v in per_sample.items()},

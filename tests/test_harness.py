@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdgm import cli, datagen, harness
+from cdgm import cli, datagen, estimator, graphops, harness
 from cdgm.errors import ShapeMismatch
 
 
@@ -86,14 +86,19 @@ def test_lasso_scores_each_truth_once_and_counts_nonconverged(tmp_path, monkeypa
     labels = datagen.cluster_labels(spec, Ztr)
     distinct = sum(len(np.unique(truths[labels == c], axis=0)) for c in set(labels.tolist()))
 
-    calls = []
-    f1_ba = harness.metrics.f1_ba
-    monkeypatch.setattr(harness.metrics, "f1_ba",
-                        lambda pred, truth: calls.append(1) or f1_ba(pred, truth))
+    # F1/BA cost: kernel rows scored at each threshold, over every call
+    scored = []
+    score_rows = harness.metrics.score_rows
+
+    def counting(scores, patterns, inverse, peaks=None, thresholds=(), *rest, **kw):
+        scored.append(len(scores) * len(thresholds))
+        return score_rows(scores, patterns, inverse, peaks, thresholds, *rest, **kw)
+
+    monkeypatch.setattr(harness.metrics, "score_rows", counting)
     res = harness.run_replicate(cfg, 0)["methods"]["nodewise-lasso"]
     assert res["status"] == "ok"
     assert res["lasso_nonconverged"] == 0
-    assert len(calls) == distinct * len(cfg.thresholds)
+    assert sum(scored) == distinct * len(cfg.thresholds)
     assert len(res["per_sample"]["f1@0.05"]) == 220
 
     capped = _tiny_config(tmp_path, methods=("nodewise-lasso",),
@@ -168,6 +173,47 @@ def test_cli_train_eval_baseline_roundtrip(tmp_path, capsys):
     assert rc == 0
     baseline = json.loads((tmp_path / "b" / "baseline.json").read_text())
     assert "auroc" in baseline
+
+
+@pytest.fixture(scope="module")
+def g1_model(tmp_path_factory):
+    """A small G1 dataset (p=6) and a linear model trained on it."""
+    root = tmp_path_factory.mktemp("g1")
+    assert cli.main(["generate", "--setting", "G1", "--n", "120", "--seed", "2", "--p", "6",
+                     "--out", str(root / "d"), "--splits", "80,20,20"]) == 0
+    assert cli.main(["train", "--data", str(root / "d"), "--out", str(root / "m"),
+                     "--family", "linear", "--epochs", "2"]) == 0
+    return root / "d", root / "m"
+
+
+@pytest.mark.parametrize("flag", ["--thresholds=0.1,abc", "--thresholds=",
+                                  "--thresholds=-0.1", "--thresholds=0.1,0.05",
+                                  "--thresholds=nan", "--edge-list-tau=-0.1",
+                                  "--edge-list-tau=0.1,0.2"])
+def test_cli_eval_rejects_bad_thresholds_before_reading(g1_model, tmp_path, flag):
+    data, model = g1_model
+    for d, m in ((data, model), (tmp_path / "missing", tmp_path / "missing")):
+        proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "eval", "--data", str(d),
+                               "--model", str(m), "--out", str(tmp_path / "r"), flag],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error:")
+        assert not (tmp_path / "r").exists()
+
+
+def test_cli_eval_edge_lists_match_per_graph_skeletons(g1_model, tmp_path):
+    data, model = g1_model
+    tau = 0.3
+    assert cli.main(["eval", "--data", str(data), "--model", str(model),
+                     "--out", str(tmp_path / "r"), "--edge-list-tau", str(tau)]) == 0
+    Z = datagen.load_dataset(data).part("test")[1]
+    graphs = estimator.estimate_graphs(estimator.load_model(model), Z)
+    assert len(list((tmp_path / "r" / "edges").iterdir())) == len(graphs)
+    for i, g in enumerate(graphs):
+        skel = graphops.threshold_and(graphops.normalize_if_nonzero(g), tau)
+        graphops.write_edge_list(skel, tmp_path / "want.csv")
+        assert (tmp_path / "r" / "edges" / f"sample_{i:05d}.csv").read_text() == \
+            (tmp_path / "want.csv").read_text()
 
 
 def _write_experiment_config(path, out_dir, *lines):

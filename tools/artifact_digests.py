@@ -2,7 +2,8 @@
 
 Runs the acceptance test's c12 config, small canonical-p G2 and N2
 lasso configs (the settings whose negative-weight mixes are factored one
-at a time), and the benchmark workloads' configs
+at a time), a pseudo-moral D2 dnn config, a small canonical-p G2 dnn
+config (4005-pair score rows), and the benchmark workloads' configs
 (``benchmark/workloads.py``) at replicate seeds 1000 and 2001 with
 whichever ``cdgm`` is importable, and prints one ``sha256  path``
 line per artifact: ``report.csv`` without its ``runtime_s`` column,
@@ -47,6 +48,15 @@ def configs(root: Path):
                 setting=setting, replicates=1, seeds=(seed,), n_train=300, n_val=50,
                 n_test=100, methods=("nodewise-lasso",), thresholds=(0.05, 0.1),
                 out_dir=str(root / run), lasso=dict(n_lambdas=8, lambda_min_ratio=0.1))
+    for seed in SEEDS:
+        run = f"d2-pseudo-dnn-{seed}"
+        yield run, harness.ExperimentConfig(
+            setting="D2", replicates=1, seeds=(seed,), n_train=400, n_val=120, n_test=150,
+            methods=("dnn",), pseudo_moral=True, out_dir=str(root / run), dnn=dict(epochs=5))
+        run = f"g2-dnn-{seed}"
+        yield run, harness.ExperimentConfig(
+            setting="G2", replicates=1, seeds=(seed,), n_train=300, n_val=60, n_test=100,
+            methods=("dnn",), out_dir=str(root / run), dnn=dict(epochs=2))
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             run = f"{name}-{seed}"
