@@ -41,6 +41,15 @@ def _parse_scalar(text: str):
     return text
 
 
+def _cast(cast, key: str, text: str):
+    """``cast(text)``, with an unreadable value as a usage error naming ``key``."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise UsageError(f"config key {key!r}: {text!r} is not a valid "
+                         f"{cast.__name__}") from None
+
+
 def parse_config_file(path) -> harness.ExperimentConfig:
     """Flat key-value experiment config; '#' starts a comment.
 
@@ -64,7 +73,7 @@ def parse_config_file(path) -> harness.ExperimentConfig:
         if key.startswith("dnn."):
             sub = key[4:]
             if sub in tuple_keys:
-                cfg["dnn"][sub] = tuple(int(v) for v in value.split(",") if v)
+                cfg["dnn"][sub] = tuple(_cast(int, key, v) for v in value.split(",") if v)
             else:
                 cfg["dnn"][sub] = _parse_scalar(value)
         elif key.startswith("lasso."):
@@ -73,11 +82,11 @@ def parse_config_file(path) -> harness.ExperimentConfig:
             cfg["generator"][key[4:]] = _parse_scalar(value)
         elif key in list_keys:
             cast = list_keys[key]
-            cfg[key] = tuple(cast(v.strip()) for v in value.split(",") if v.strip())
+            cfg[key] = tuple(_cast(cast, key, v.strip()) for v in value.split(",") if v.strip())
         elif key in ("setting", "out_dir"):
             cfg[key] = value
         elif key in ("replicates", "n_train", "n_val", "n_test"):
-            cfg[key] = int(value)
+            cfg[key] = _cast(int, key, value)
         elif key == "pseudo_moral":
             cfg[key] = value.lower() == "true"
         else:

@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ import numpy as np
 from . import neuralnet as nn
 from .datagen import Dataset
 from .errors import NonFiniteLoss, ShapeMismatch
-from .numerics import SeededRng
+from .numerics import SeededRng, run_pair
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
+PREDICT_ROWS = 32  # samples per scatter-and-einsum pass of _predict
 
 
 def offdiag_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,9 +53,26 @@ def _scatter(out: np.ndarray, p: int, beta: np.ndarray | None = None) -> np.ndar
     return beta
 
 
-def _predict(out: np.ndarray, X: np.ndarray, beta: np.ndarray | None = None) -> np.ndarray:
-    """Each node as the coefficient-weighted sum of the other nodes."""
-    return np.einsum("njk,nk->nj", _scatter(out, X.shape[1], beta), X)
+def _predict(out: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each node as the coefficient-weighted sum of the other nodes.
+
+    einsum's sum for one row does not depend on which rows share the
+    call, so the rows go in small passes, half of them on each thread.
+    """
+    n, p = X.shape
+    xhat = np.empty((n, p))
+    mid = n // 2
+    run_pair(partial(_predict_rows, out, X, xhat, 0, mid),
+             partial(_predict_rows, out, X, xhat, mid, n))
+    return xhat
+
+
+def _predict_rows(out, X, xhat, lo, hi):
+    p = X.shape[1]
+    beta = np.zeros((min(PREDICT_ROWS, hi - lo), p, p))  # _scatter keeps the zero diagonal
+    for s in range(lo, hi, PREDICT_ROWS):
+        e = min(s + PREDICT_ROWS, hi)
+        np.einsum("njk,nk->nj", _scatter(out[s:e], p, beta[:e - s]), X[s:e], out=xhat[s:e])
 
 
 @dataclass
@@ -189,11 +208,9 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
                           clip_norm=cfg.clip_norm, lr_step=cfg.lr_step,
                           lr_decay=cfg.lr_decay)
     model = CdgmModel(p=p, q=q, spec=spec, params=params)
-    # Per-fit workspaces; a short last batch uses their leading slice.
+    # Per-fit gradient workspace; a short last batch uses its leading slice.
     n = Xtr.shape[0]
-    width = min(cfg.batch_size, n)
-    beta_buf = np.zeros((width, p, p))  # _scatter never writes the zero diagonal
-    grad_buf = np.empty(p * (p - 1) * width)
+    grad_buf = np.empty(p * (p - 1) * min(cfg.batch_size, n))
 
     history = TrainHistory()
     best_val = _validation_mse(model, Xval, Zval)
@@ -210,7 +227,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
             B = len(idx)
             xb, zb = Xtr[idx], Ztr[idx]
             out, cache = nn.forward(spec, params, zb, training=True, rng=dropout_rng)
-            resid = _predict(out, xb, beta_buf[:B])
+            resid = _predict(out, xb)
             resid -= xb
             batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
             if not np.isfinite(batch_loss):
@@ -221,9 +238,8 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
             xT = np.ascontiguousarray(xb.T)
             rT = np.ascontiguousarray((resid * (2.0 / B)).T)
             gT = grad_buf[:p * (p - 1) * B].reshape(p, p - 1, B)
-            for j in range(p):
-                np.multiply(xT[:j], rT[j], out=gT[j, :j])
-                np.multiply(xT[j + 1:], rT[j], out=gT[j, j:])
+            run_pair(partial(_gradient_rows, gT, xT, rT, 0, p // 2),
+                     partial(_gradient_rows, gT, xT, rT, p // 2, p))
             # Handed over column-major, strides (8, 8B): backward's h_in.T @ grad_out
             # and column sums run in a layout-dependent order, so a C-ordered
             # gradient with equal values moves the last bits of the parameters.
@@ -244,6 +260,12 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
     history.best_epoch = best_epoch
     history.wall_time_s = time.perf_counter() - t0
     return model, history
+
+
+def _gradient_rows(gT, xT, rT, lo, hi):
+    for j in range(lo, hi):
+        np.multiply(xT[:j], rT[j], out=gT[j, :j])
+        np.multiply(xT[j + 1:], rT[j], out=gT[j, j:])
 
 
 def estimate_graphs(model: CdgmModel, Z, batch: int = 512) -> np.ndarray:

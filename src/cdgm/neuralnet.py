@@ -10,12 +10,13 @@ directly on numpy arrays; there is no external autodiff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NonFiniteGradient, ShapeMismatch, StaleCache
-from .numerics import SeededRng
+from .numerics import SeededRng, run_pair
 
 PARAMS_MAGIC = "CDGM-PARAMS-1"
 ADAM_CHUNK = 65536  # optimizer entries updated per pass: 512 KiB per array
@@ -182,15 +183,22 @@ def backward(cache, grad_outputs) -> np.ndarray:
                 g *= keep
                 g /= 1.0 - spec.dropout
             g *= cache["relu_masks"][li]
-        gw, gb = glayers[li]
-        np.matmul(cache["inputs"][li].T, g, out=gw)
-        np.sum(g, axis=0, out=gb)
-        if li > 0:
-            g = g @ cache["weights"][li].T
-            if li == spec.concat_layer:
-                # C-ordered, like every other g here: the sums above depend on layout
-                g = np.ascontiguousarray(g[:, : dims[li][0] - spec.input_dim])
+        layer_grads = partial(_layer_grads, cache["inputs"][li], g, *glayers[li])
+        if li == 0:
+            layer_grads()
+            continue
+        # Each product keeps its operands, shapes and layout, so its bits;
+        # only the thread that computes it changes.
+        g, _ = run_pair(partial(np.matmul, g, cache["weights"][li].T), layer_grads)
+        if li == spec.concat_layer:
+            # C-ordered, like every other g here: the sums above depend on layout
+            g = np.ascontiguousarray(g[:, : dims[li][0] - spec.input_dim])
     return grads
+
+
+def _layer_grads(h_in, g, gw, gb):
+    np.matmul(h_in.T, g, out=gw)
+    np.sum(g, axis=0, out=gb)
 
 
 @dataclass
@@ -215,7 +223,8 @@ class OptimState:
             self.m = np.zeros(self.n_params)
         if self.v is None:
             self.v = np.zeros(self.n_params)
-        self.scratch = np.empty((2, min(self.n_params, ADAM_CHUNK)))
+        # (half of the update, pass array, entry): one workspace per thread
+        self.scratch = np.empty((2, 2, min(self.n_params, ADAM_CHUNK)))
 
 
 def scheduled_lr(state: OptimState, epoch: int) -> float:
@@ -242,17 +251,29 @@ def optimizer_step(params: ParamSet, gradients: np.ndarray, state: OptimState,
         raise NonFiniteGradient("gradients contain NaN or inf")
     clip = np.isfinite(state.clip_norm) and norm > state.clip_norm and norm > 0.0
     state.step_count += 1
-    t = state.step_count
     step_lr = state.base_lr if lr is None else lr
+    update = partial(_adam, params.flat, g, state, state.clip_norm / norm if clip else None,
+                     step_lr)
+    # Every entry is updated on its own, so the halves may run on two threads.
+    mid = g.size // 2
+    run_pair(partial(update, 0, mid, state.scratch[0]),
+             partial(update, mid, g.size, state.scratch[1]))
+    return params, state
+
+
+def _adam(flat, g, state, scale, step_lr, lo, hi, scratch):
+    """Adam on entries ``lo:hi``; ``scale`` is the clip factor, or None."""
+    t = state.step_count
     # The same operations, in the same order, as m = b1*m + (1-b1)*g,
     # v = b2*v + (1-b2)*g*g and flat -= lr * m_hat / (sqrt(v_hat) + eps);
     # dividing before the lr product would move the last bits. Chunks keep
     # each pass in cache.
-    for lo in range(0, g.size, ADAM_CHUNK):
-        gc, m, v = g[lo:lo + ADAM_CHUNK], state.m[lo:lo + ADAM_CHUNK], state.v[lo:lo + ADAM_CHUNK]
-        a, b = state.scratch[:, :gc.size]
-        if clip:
-            gc = np.multiply(gc, state.clip_norm / norm, out=a)
+    for s in range(lo, hi, ADAM_CHUNK):
+        e = min(s + ADAM_CHUNK, hi)
+        gc, m, v = g[s:e], state.m[s:e], state.v[s:e]
+        a, b = scratch[:, :e - s]
+        if scale is not None:
+            gc = np.multiply(gc, scale, out=a)
         np.multiply(gc, 1.0 - state.beta1, out=b)
         m *= state.beta1
         m += b
@@ -266,8 +287,7 @@ def optimizer_step(params: ParamSet, gradients: np.ndarray, state: OptimState,
         np.sqrt(b, out=b)
         b += state.eps
         a /= b
-        params.flat[lo:lo + ADAM_CHUNK] -= a
-    return params, state
+        flat[s:e] -= a
 
 
 def save_params(params: ParamSet, path) -> None:

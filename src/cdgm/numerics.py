@@ -1,12 +1,14 @@
-"""Dense linear algebra and seeded sampling primitives.
+"""Dense linear algebra, seeded sampling and two-thread primitives.
 
 Matrices are plain float64 numpy arrays in row-major order. Randomness is
 routed exclusively through :class:`SeededRng` so that every draw in the
-package is a pure function of ``(seed, stream)``.
+package is a pure function of ``(seed, stream)``. :func:`run_pair` runs
+two independent pieces of work on two threads.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,3 +87,47 @@ def sample_from_precision(theta, count: int, rng: SeededRng) -> np.ndarray:
     u = rng.generator.standard_normal((count, p))
     # Solve L^T x^T = u^T  =>  x = u L^{-1} stacked row-wise.
     return np.linalg.solve(low.T, u.T).T
+
+
+_helper = None  # this process's one-thread executor, made on first use
+
+
+def _drop_helper():
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the executor but not its thread.
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def run_pair(helper, inline):
+    """Run two callables that share no output; return ``(helper(), inline())``.
+
+    ``helper`` runs on this process's helper thread while ``inline`` runs
+    on the calling thread, and the call returns only once both are done,
+    also when either raises. With fewer than two usable CPUs both run here
+    and no thread starts. Pass only numpy calls and private helpers: a
+    result must not depend on the thread that computes it, and the
+    benchmark tracer's span stack is not thread-safe.
+    """
+    global _helper
+    if _helper is None:
+        if _usable_cpus() < 2:
+            return helper(), inline()
+        from concurrent.futures import ThreadPoolExecutor  # not at import: start-up cost
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cdgm-helper")
+    future = _helper.submit(helper)
+    try:
+        second = inline()
+    finally:
+        future.exception()  # waits for the helper; an error of inline's wins
+    return future.result(), second

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -303,7 +306,12 @@ def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
 @pytest.mark.parametrize("line,message", [("dnn.batch_size = 0", "batch_size"),
                                           ("dnn.dropout = 1.5", "dropout"),
                                           ("dnn.lr_step = 0", "lr_step"),
-                                          ("dnn.clip_norm = -1", "clip_norm")])
+                                          ("dnn.clip_norm = -1", "clip_norm"),
+                                          # values the config parser cannot read
+                                          ("thresholds = 0.1, abc", "thresholds"),
+                                          ("seeds = 1, x", "seeds"),
+                                          ("n_train = abc", "n_train"),
+                                          ("dnn.block1 = 128, x", "dnn.block1")])
 def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, message):
     out = tmp_path / "run"
     cfg_file = tmp_path / "bad.cfg"
@@ -391,3 +399,26 @@ def test_threads_env_parallel_replicates(tmp_path, monkeypatch):
 
     assert drop_runtime(tmp_path / "par" / "report.csv") == \
         drop_runtime(tmp_path / "ser" / "report.csv")
+
+
+def test_parallel_replicates_after_training_in_process(tmp_path):
+    # Forked replicate workers inherit the parent's helper executor but not
+    # its thread; a worker that used it would wait forever.
+    code = f"""
+import os
+from cdgm import datagen, estimator, harness
+ds = datagen.generate_dataset(datagen.make_setting("G1", seed=1, p=8), 120, (80, 20, 20))
+estimator.train(ds, estimator.TrainConfig(epochs=1, block1=(8,), block2=(6,), batch_size=32))
+os.environ["CDGM_THREADS"] = "2"
+harness.run_experiment(harness.ExperimentConfig(
+    setting="G1", replicates=2, seeds=(1, 2), n_train=120, n_val=30, n_test=30,
+    methods=("dnn",), thresholds=(0.1,), out_dir={str(tmp_path / "run")!r},
+    dnn=dict(epochs=2, block1=(8,), block2=(6,), batch_size=32), generator=dict(p=8)))
+"""
+    proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) == 0
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # and the workers of a hung run
+    assert len(list((tmp_path / "run").glob("replicate_*.json"))) == 2

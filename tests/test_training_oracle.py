@@ -10,11 +10,16 @@ in-place kernels replaced. ``estimator.train``, ``predict_nodes``,
 for bit at canonical dimensions.
 """
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import cdgm.neuralnet as nn
-from cdgm import datagen, estimator
+from cdgm import datagen, estimator, numerics
 from cdgm.errors import NonFiniteGradient
 from cdgm.numerics import SeededRng
 
@@ -296,3 +301,62 @@ def test_adam_rejects_each_kind_of_non_finite_entry():
         nn.optimizer_step(params, g, state)
         _ref_optimizer_step(ref_params, g, ref_state)
     assert np.array_equal(params.flat, ref_params.flat)
+
+
+# --- the helper thread -------------------------------------------------------
+
+# A G1 fit at canonical p, then the same fit with one usable CPU; prints
+# whether the first fit made the helper, whether the second started no
+# thread, and whether the parameters and validation losses agree.
+HELPER_VS_INLINE = f"""
+import os
+import threading
+import numpy as np
+from cdgm import datagen, estimator, numerics
+
+def fit():
+    ds = datagen.generate_dataset(datagen.make_setting("G1", seed=7),
+                                  {N_TRAIN + N_VAL + N_TEST}, ({N_TRAIN}, {N_VAL}, {N_TEST}))
+    cfg = estimator.default_train_config("G1", epochs=2, batch_size={BATCH}, seed=3)
+    return estimator.train(ds, cfg)
+
+threaded, threaded_hist = fit()
+helper = numerics._helper  # kept alive, so its thread cannot exit during the count
+numerics._helper = None
+os.sched_getaffinity = lambda pid: {{0}}
+threads = threading.active_count()
+inline, inline_hist = fit()
+print(helper is not None, numerics._helper is None and threading.active_count() == threads,
+      np.array_equal(threaded.params.flat, inline.params.flat),
+      threaded_hist.val_loss == inline_hist.val_loss)
+"""
+
+
+def test_one_usable_cpu_trains_inline_with_the_same_bits():
+    # At two BLAS threads each GEMM is split across threads; the helper's
+    # GEMMs, run beside the main thread's, must still split the same way.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", HELPER_VS_INLINE], capture_output=True,
+                          text=True, env=env, timeout=600, check=True)
+    helper, no_thread, same_params, same_val = proc.stdout.split()
+    assert helper == str(numerics._usable_cpus() >= 2)
+    assert (no_thread, same_params, same_val) == ("True", "True", "True")
+
+
+def test_run_pair_joins_the_helper_when_either_side_raises():
+    done = []
+
+    def slow():
+        threading.Event().wait(0.05)
+        done.append("helper")
+
+    def fail():
+        raise ValueError("inline")
+
+    with pytest.raises(ValueError, match="inline"):
+        numerics.run_pair(slow, fail)
+    assert done == ["helper"]  # joined before the error left run_pair
+    with pytest.raises(ZeroDivisionError):
+        numerics.run_pair(lambda: 1 / 0, lambda: done.append("inline"))
+    assert done == ["helper", "inline"]
+    assert numerics.run_pair(lambda: 1, lambda: 2) == (1, 2)

@@ -14,6 +14,11 @@ they print the same lines (the bits depend on the BLAS setup, so pin it):
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<old>/src python3 tools/artifact_digests.py > old.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
     diff old.txt new.txt
+
+For a change that moves work between threads, diff at both
+``OPENBLAS_NUM_THREADS=1`` and ``=2``: the two thread counts print
+different digests, so the second run checks that the change left each
+BLAS call's own threading alone.
 """
 
 from __future__ import annotations
