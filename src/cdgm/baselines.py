@@ -171,31 +171,13 @@ def score_graphs(graphs, patterns, thresholds=(), rank=("auroc", "auprc")) -> di
 
 def best_penalty(lambdas, values, inverse) -> tuple[float | None, float, list | None]:
     """The penalty whose per-sample values ``values[g][inverse]`` (one row
-    of per-pattern values per penalty) have the largest exact mean; ties
-    go to the larger penalty. Returns (penalty, mean, per-sample values)."""
+    of per-pattern values per penalty) have the largest mean
+    (``metrics.mean``); ties go to the larger penalty. Returns (penalty,
+    mean, per-sample values)."""
     best_lam, best_val, best_vals = None, -np.inf, None
     for lam, distinct in zip(lambdas, values):
         vals = distinct[inverse].tolist()
-        val = math.fsum(vals) / len(vals)
+        val = metrics_mod.mean(vals)
         if val > best_val:
             best_lam, best_val, best_vals = float(lam), val, vals
     return best_lam, best_val, best_vals
-
-
-def best_over_path(path: LassoPath, truth, metric="auroc", per_sample: bool = False):
-    """Best metric value along the path; ties go to the larger penalty.
-
-    ``truth`` is either one boolean skeleton or a list of per-sample
-    skeletons to average over; the value at a penalty is the mean of the
-    per-sample values, each distinct skeleton scored once. ``metric`` is
-    'auroc' or 'auprc'. Returns (penalty, value), plus the per-sample
-    values at that penalty when ``per_sample`` is set.
-    """
-    if len(path.graphs) == 0:
-        raise ShapeMismatch("empty path")
-    truths = np.asarray(truth, dtype=bool)
-    iu = np.triu_indices(truths.shape[-1], k=1)
-    patterns, inverse = metrics_mod.distinct_rows(np.atleast_2d(truths[..., iu[0], iu[1]]))
-    best = best_penalty(path.lambdas, score_graphs(path.graphs, patterns, rank=(metric,))[metric],
-                        inverse)
-    return best if per_sample else best[:2]

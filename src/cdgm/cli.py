@@ -11,11 +11,10 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
-from . import datagen, estimator, graphops, harness, theory
+from . import datagen, estimator, graphops, harness, metrics, theory
 from .errors import CdgmError, DomainError
 
 
@@ -130,9 +129,15 @@ def _threshold(text: str) -> float:
 
 def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
     if splits_arg:
-        parts = tuple(int(v) for v in splits_arg.split(","))
-        if len(parts) != 3:
-            raise UsageError("--splits needs train,val,test")
+        try:
+            parts = tuple(int(v) for v in splits_arg.split(","))
+        except ValueError:
+            parts = ()
+        if len(parts) != 3 or min(parts) < 0:
+            raise UsageError(f"--splits {splits_arg!r}: need three nonnegative integers "
+                             "train,val,test")
+        if sum(parts) != n:
+            raise UsageError(f"--splits {splits_arg} does not sum to --n {n}")
         return parts
     if n <= 2000:
         raise UsageError("default splits need n > 2000; pass --splits")
@@ -182,7 +187,7 @@ def cmd_eval(args) -> int:
     per_sample = harness.evaluate_graphs(graphs, truths, args.thresholds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {k: math.fsum(v) / len(v) for k, v in per_sample.items()}
+    summary = {k: metrics.mean(v) for k, v in per_sample.items()}
     (out / "eval.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     graphops.write_histogram(*graphops.magnitude_histogram(graphs), out / "histogram.csv")
     if args.edge_list_tau is not None:
@@ -208,7 +213,7 @@ def cmd_baseline(args) -> int:
     res = harness.fit_eval_lasso(cfg, ds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {k: math.fsum(v) / len(v) for k, v in res["per_sample"].items()}
+    summary = {k: metrics.mean(v) for k, v in res["per_sample"].items()}
     summary["best_lambdas"] = res["best_lambdas"]
     (out / "baseline.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for key in ("auroc", "auprc"):

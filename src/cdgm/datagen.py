@@ -8,6 +8,13 @@ the moralized graph.
 
 DAG adjacency convention used throughout: ``a[j, k] != 0`` means node k is
 a parent of node j (row = child, column = parent).
+
+Ground truth has one rule. A sample's support key (``support_keys``) says
+which candidates are active at its covariate, and its skeleton
+(``truth_skeleton``) is read from that key alone: the off-diagonal union
+of the active candidates' supports in the Gaussian/NPN settings, and the
+moral graph of the union of the active trees in the DAG settings,
+transposed whenever ``transpose_coeffs`` is set, as the SEM reads it.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from .numerics import SeededRng, cholesky
 
 SETTING_IDS = ("G1", "G2", "N1", "N2", "D1", "D2")
 
-# Off-diagonal entries of a mixed precision matrix below this magnitude are
-# treated as structural zeros when labeling ground-truth edges.
+# A candidate whose weighted off-diagonal entries |w_l| * offdiag are not
+# above this magnitude is left out of a Gaussian/NPN sample's truth.
 SUPPORT_TOL = 1e-10
 
 # Samples per stacked factorisation in the Gaussian/NPN settings. A stack
@@ -79,20 +86,6 @@ def _mix(weights, candidates) -> np.ndarray:
     term = np.empty_like(theta)
     for l, psi in enumerate(candidates):
         theta += np.multiply(weights[..., l, None, None], psi, out=term)
-    return theta
-
-
-def mix_precision(weights, candidates) -> np.ndarray:
-    """Weighted combination of candidate precision matrices.
-
-    A convex combination of positive definite candidates is positive
-    definite by construction; any mix with a negative weight is verified
-    by Cholesky and rejected with NotPositiveDefinite.
-    """
-    theta = _mix(weights, candidates)
-    negative = np.any(np.asarray(weights) < 0.0, axis=-1)
-    if np.any(negative):
-        cholesky(theta[negative])
     return theta
 
 
@@ -196,15 +189,9 @@ def moralize(a, pseudo: bool = False) -> np.ndarray:
     """
     a = np.asarray(a)
     topological_order(a)  # raises CyclicGraph on cycles
-    support = a != 0
-    skel = support | support.T
-    if not pseudo:
-        for j in range(a.shape[0]):
-            parents = np.nonzero(support[j])[0]
-            for i1 in range(len(parents)):
-                for i2 in range(i1 + 1, len(parents)):
-                    skel[parents[i1], parents[i2]] = True
-                    skel[parents[i2], parents[i1]] = True
+    s = a != 0
+    # (s.T @ s)[x, y]: x and y are both parents of some child
+    skel = s | s.T if pseudo else s | s.T | s.T @ s
     np.fill_diagonal(skel, False)
     return skel
 
@@ -413,16 +400,14 @@ def make_setting(setting: str, seed: int = 0, *, p: int | None = None,
     )
 
 
-def covariate_to_weights(spec: SettingSpec, z):
-    """Candidate mixing weights and cluster labels for covariate values.
+def covariate_to_weights(spec: SettingSpec, Z):
+    """Candidate mixing weights (n, k) and cluster labels (n,) for a stack
+    of covariates (n, q).
 
-    ``z`` is a stack (n, q), giving weights (n, k) and labels (n,), or one
-    covariate (q,), its one-row case, giving weights (k,) and an int label.
     Implements the piecewise branch rules of each setting; boundary ties
     (probability-zero events) go to the lower interval.
     """
-    z = np.asarray(z, dtype=np.float64)
-    Z = np.atleast_2d(z)
+    Z = np.asarray(Z, dtype=np.float64)
     s = spec.setting
     if s in ("G1", "N1"):
         z1, z2 = Z[:, 0], Z[:, 1]
@@ -446,24 +431,7 @@ def covariate_to_weights(spec: SettingSpec, z):
         weights = np.stack([np.where(labels == 1, 1.0, np.where(labels == 2, 0.0, w1)),
                             np.where(labels == 1, 0.0, np.where(labels == 2, 1.0, 1.0 - w1))],
                            axis=1)
-    labels = labels.astype(np.int64)
-    if z.ndim == 1:
-        return weights[0], int(labels[0])
-    return weights, labels
-
-
-def dag_mix(spec: SettingSpec, z) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted DAG for one covariate value plus its binary support."""
-    weights, _ = covariate_to_weights(spec, z)
-    b1, b2 = spec.candidates
-    a_tilde = weights[0] * b1 + weights[1] * b2
-    return a_tilde, (a_tilde != 0).astype(np.float64)
-
-
-def ground_truth_theta(spec: SettingSpec, z) -> np.ndarray:
-    """Per-sample precision matrix for the Gaussian/NPN settings."""
-    weights, _ = covariate_to_weights(spec, z)
-    return mix_precision(weights, spec.candidates)
+    return weights, labels.astype(np.int64)
 
 
 def cluster_labels(spec: SettingSpec, Z) -> np.ndarray:
@@ -471,12 +439,13 @@ def cluster_labels(spec: SettingSpec, Z) -> np.ndarray:
 
 
 def support_keys(spec: SettingSpec, Z) -> np.ndarray:
-    """One boolean row per sample; samples with equal rows have equal truth.
+    """Which candidates are active, one boolean row per sample; a
+    sample's truth is read from its row (``truth_skeleton``).
 
-    DAG settings: the nonzero pattern of the tree weights. The weights are
-    nonnegative and the trees 0/1, so a mixed edge is nonzero exactly when
-    a tree holding it has a nonzero weight. Gaussian/NPN settings: which
-    candidates show off the diagonal, ``|w_l| * offdiag > SUPPORT_TOL``.
+    DAG settings: the trees with a nonzero weight. The weights are
+    nonnegative and the trees 0/1, so an edge of the mixed DAG is nonzero
+    exactly when a tree holding it is active. Gaussian/NPN settings: the
+    candidates that show off the diagonal, ``|w_l| * offdiag > SUPPORT_TOL``.
     The candidates' off-diagonal supports are disjoint, so each
     off-diagonal entry of a mix is a single product ``w_l * offdiag``; a
     weight that is nonzero but tiny leaves its candidate's edges out.
@@ -488,18 +457,20 @@ def support_keys(spec: SettingSpec, Z) -> np.ndarray:
 
 
 def truth_skeleton(spec: SettingSpec, z, pseudo: bool = False) -> np.ndarray:
-    """Boolean ground-truth skeleton for the sample with covariate ``z``.
+    """Boolean ground-truth skeleton for the sample with covariate ``z``,
+    read from its support key (``support_keys``).
 
-    Gaussian/NPN settings: off-diagonal support of the mixed precision.
-    DAG settings: moralized (or pseudo-moralized) skeleton of the DAG.
+    Gaussian/NPN settings: the off-diagonal union of the active
+    candidates' supports. DAG settings: the moral graph (pseudo-moral if
+    ``pseudo``) of the union of the active trees, transposed when the SEM
+    ran on the transposed reading (``transpose_coeffs``).
     """
+    skel = np.zeros((spec.p, spec.p), dtype=bool)
+    for candidate, active in zip(spec.candidates, support_keys(spec, z)[0]):
+        if active:
+            skel |= candidate != 0
     if spec.mechanism == "dag":
-        a_tilde, support = dag_mix(spec, z)
-        if spec.setting == "D2" and spec.transpose_coeffs:
-            support = support.T
-        return moralize(support, pseudo=pseudo)
-    theta = ground_truth_theta(spec, z)
-    skel = np.abs(theta) > SUPPORT_TOL
+        return moralize(skel.T if spec.transpose_coeffs else skel, pseudo=pseudo)
     np.fill_diagonal(skel, False)
     return skel
 

@@ -166,18 +166,6 @@ def predict_nodes(model: CdgmModel, z, x) -> np.ndarray:
     return xhat[0] if single else xhat
 
 
-def mse_loss(xhat, x) -> float:
-    """Mean over samples of the squared Euclidean residual norm."""
-    xhat = np.asarray(xhat, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if xhat.shape != x.shape:
-        raise ShapeMismatch(f"shape mismatch {xhat.shape} vs {x.shape}")
-    d = xhat - x
-    if d.ndim == 1:
-        return float(d @ d)
-    return float(np.mean(np.sum(d * d, axis=1)))
-
-
 def _validation_mse(model: CdgmModel, X, Z, batch: int = 2048) -> float:
     total = 0.0
     for lo in range(0, X.shape[0], batch):

@@ -32,19 +32,11 @@ def normalize_if_nonzero(w) -> np.ndarray:
         return np.asarray(w, dtype=np.float64)
 
 
-def symmetric_scores(w, method: str = "min") -> np.ndarray:
-    """Symmetric edge scores from an asymmetric coefficient matrix.
-
-    ``min`` (default) takes min(|w_jk|, |w_kj|), consistent with the AND
-    rule; ``mean`` averages the two magnitudes.
-    """
+def symmetric_scores(w) -> np.ndarray:
+    """Symmetric edge scores min(|w_jk|, |w_kj|) of an asymmetric
+    coefficient matrix, consistent with the AND rule."""
     w = np.abs(np.asarray(w, dtype=np.float64))
-    if method == "min":
-        s = np.minimum(w, w.T)
-    elif method == "mean":
-        s = 0.5 * (w + w.T)
-    else:
-        raise ShapeMismatch(f"unknown symmetrization {method!r}")
+    s = np.minimum(w, w.T)
     np.fill_diagonal(s, 0.0)
     return s
 
@@ -62,7 +54,7 @@ def threshold_and(w, tau: float) -> np.ndarray:
     Entries that are exactly zero never survive hard-thresholding, so at
     tau = 0 the skeleton contains the pairs with both entries nonzero.
     """
-    skel = threshold_pairs(symmetric_scores(w, method="min"), tau)
+    skel = threshold_pairs(symmetric_scores(w), tau)
     np.fill_diagonal(skel, False)
     return skel
 

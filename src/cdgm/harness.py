@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 import os
 import sys
 import time
@@ -225,8 +224,9 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict], out_dir) 
     """Per-replicate report rows plus an aggregate summary.
 
     report.csv: one row per (replicate, method, threshold) with the
-    sample-averaged metrics. summary.csv: replicate mean and standard
-    deviation per method and threshold.
+    sample means of the metrics (``metrics.mean``, correctly rounded).
+    summary.csv: replicate mean and standard deviation per method and
+    threshold.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,11 +241,9 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict], out_dir) 
             if res["status"] != "ok":
                 continue
             ps = res["per_sample"]
-            au = math.fsum(ps["auroc"]) / len(ps["auroc"])
-            ap = math.fsum(ps["auprc"]) / len(ps["auprc"])
+            au, ap = metrics.mean(ps["auroc"]), metrics.mean(ps["auprc"])
             for tau in cfg.thresholds:
-                f1 = math.fsum(ps[f"f1@{tau:g}"]) / len(ps[f"f1@{tau:g}"])
-                ba = math.fsum(ps[f"ba@{tau:g}"]) / len(ps[f"ba@{tau:g}"])
+                f1, ba = metrics.mean(ps[f"f1@{tau:g}"]), metrics.mean(ps[f"ba@{tau:g}"])
                 report_lines.append(",".join([
                     cfg.setting, str(rep["replicate"]), method, str(cfg.n_train),
                     _fmt(tau), _fmt(au), _fmt(ap), _fmt(f1), _fmt(ba),
@@ -284,8 +282,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     """Run all replicates, write artifacts, and aggregate per method.
 
     Failed methods are recorded, printed to stderr and skipped in
-    aggregation; the run itself continues. The resolved config goes to
-    ``config.json``, from which ``cdgm report`` rebuilds the report.
+    aggregation; the run itself continues. A replicate with lasso fits
+    that ran out of sweeps gets one stderr line with their count. The
+    resolved config goes to ``config.json``, from which ``cdgm report``
+    rebuilds the report.
     Worker count for replicate parallelism is capped by the CDGM_THREADS
     environment variable (default: serial).
     """
@@ -304,9 +304,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     for rep in results:
         _write_replicate_artifacts(out, rep)
         for method, res in rep["methods"].items():
+            where = f"replicate {rep['replicate']} (seed {rep['seed']}): {method}"
             if res["status"] != "ok":
-                print(f"replicate {rep['replicate']} (seed {rep['seed']}): {method} failed: "
-                      f"{res['error']}", file=sys.stderr)
+                print(f"{where} failed: {res['error']}", file=sys.stderr)
+            elif res.get("lasso_nonconverged"):
+                print(f"{where}: {res['lasso_nonconverged']} lasso fits did not converge "
+                      f"within lasso.max_iter sweeps", file=sys.stderr)
     write_report(cfg, results, out)
 
     reports = {}

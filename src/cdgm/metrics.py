@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,20 +61,6 @@ def _unsort(order, sorted_values) -> np.ndarray:
     out = np.empty(sorted_values.shape)
     out.ravel()[order] = sorted_values
     return out
-
-
-def _midranks(scores) -> np.ndarray:
-    """Ascending ranks with ties averaged, all NaN if any score is NaN
-    (``scipy.stats.rankdata(scores, method="average")``).
-
-    Sorted descending, a group at positions ``start..end-1`` holds the
-    ascending ranks ``n-end+1..n-start``; their mean is a multiple of 1/2,
-    so sums of midranks are exact below 2**53, in any order.
-    """
-    if np.isnan(scores).any():
-        return np.full(scores.size, np.nan)
-    order, starts, ends = _tie_groups(scores[None])
-    return _unsort(order, (2 * scores.size + 1 - starts - ends) / 2)[0]
 
 
 ROW_BLOCK = 1 << 18  # score entries the kernel works on at once
@@ -204,9 +191,35 @@ def distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return rows[np.unique(inverse, return_index=True)[1]], inverse
 
 
-def _fmean(values) -> float:
-    values = list(values)
-    return math.fsum(values) / len(values)
+def mean(values) -> float:
+    """Correctly rounded mean: the exact sum of ``values`` divided by their
+    count, rounded once (``math.fsum(v) / len(v)`` rounds twice). NaN if
+    any value is NaN.
+
+    ``fsum`` gives the exact sign of S - n * x, the exact sum less n times
+    a float x, when n * x is written as x times each power of two in n.
+    That residual corrects ``fsum / n``, and the result is accepted when S
+    lies strictly between n times the midpoints to its two neighbours.
+    Ties and extreme magnitudes take an exact ``Fraction`` sum instead.
+    """
+    values = [float(v) for v in values]
+    n = len(values)
+    total = math.fsum(values)
+    guess = total / n
+    if total == 0.0 or not math.isfinite(guess):
+        return guess
+    if 1e-280 < abs(guess) < 1e280:
+        powers = [float(1 << k) for k in range(n.bit_length()) if n >> k & 1]
+
+        def excess(x, half_gap=0.0):
+            return math.fsum(values + [-x * b for b in powers] + [-half_gap * b for b in powers])
+
+        guess += excess(guess) / n
+        below = (math.nextafter(guess, -math.inf) - guess) / 2
+        above = (math.nextafter(guess, math.inf) - guess) / 2
+        if excess(guess, below) > 0.0 > excess(guess, above):
+            return guess
+    return float(sum(map(Fraction, values)) / n)
 
 
 @dataclass
@@ -223,24 +236,25 @@ def aggregate(replicate_samples: list[dict]) -> MetricsReport:
     """Aggregate per-sample metric values.
 
     ``replicate_samples`` holds one dict per replicate experiment mapping
-    metric name -> per-sample values. Means use exact summation so the
-    report is invariant to sample ordering; the replicate spread is the
-    sample standard deviation (0 for a single replicate).
+    metric name -> per-sample values. Means are correctly rounded
+    (``mean``), so the report is invariant to sample ordering; the
+    replicate spread is the sample standard deviation (0 for a single
+    replicate).
     """
     if not replicate_samples:
         raise ShapeMismatch("at least one replicate required")
     names = list(replicate_samples[0].keys())
     per_sample = {m: [np.asarray(r[m], dtype=np.float64) for r in replicate_samples]
                   for m in names}
-    per_experiment = {m: [_fmean(vals) for vals in per_sample[m]] for m in names}
-    mean = {m: _fmean(per_experiment[m]) for m in names}
+    per_experiment = {m: [mean(vals) for vals in per_sample[m]] for m in names}
+    means = {m: mean(per_experiment[m]) for m in names}
     std = {}
     for m in names:
         vals = per_experiment[m]
         if len(vals) < 2:
             std[m] = 0.0
         else:
-            mu = mean[m]
+            mu = means[m]
             std[m] = math.sqrt(math.fsum((v - mu) ** 2 for v in vals) / (len(vals) - 1))
     return MetricsReport(per_sample=per_sample, per_experiment=per_experiment,
-                         mean=mean, std=std)
+                         mean=means, std=std)

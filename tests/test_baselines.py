@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -119,6 +117,15 @@ def test_nodewise_independent_columns_stay_sparse():
     assert np.abs(mid).max() < 0.12  # no conditional dependence to find
 
 
+def _best_over_path(path, truths, metric):
+    """Best-over-path as ``harness.fit_eval_lasso`` runs it on one cluster:
+    each distinct truth scored once per penalty, then ``best_penalty``."""
+    iu = np.triu_indices(path.graphs[0].shape[0], k=1)
+    patterns, inverse = metrics.distinct_rows(np.array([t[iu] for t in truths]))
+    scored = baselines.score_graphs(path.graphs, patterns, rank=(metric,))[metric]
+    return baselines.best_penalty(path.lambdas, scored, inverse)
+
+
 def test_nodewise_recovers_banded_support():
     theta = datagen.banded_precision(8, 1, 1.0, 0.45)
     x = sample_from_precision(theta, 6000, SeededRng(8, 0))
@@ -126,7 +133,7 @@ def test_nodewise_recovers_banded_support():
     truth = np.abs(theta) > 1e-10
     np.fill_diagonal(truth, False)
     iu = np.triu_indices(8, 1)
-    lam, best = baselines.best_over_path(path, truth, metric="auroc")
+    lam, best, _ = _best_over_path(path, [truth], "auroc")
     assert best > 0.99
     # top-|weight| pairs align with the band at the best penalty
     w = path.graphs[int(np.argwhere(path.lambdas == lam)[0][0])]
@@ -140,12 +147,14 @@ def test_best_over_path_single_and_tie_rules():
     g[0, 1] = g[1, 0] = 1.0
     truth = g.astype(bool)
     path = baselines.LassoPath(lambdas=np.array([0.5]), graphs=[g])
-    lam, val = baselines.best_over_path(path, truth, metric="auroc")
-    assert lam == 0.5 and val == 1.0
+    assert _best_over_path(path, [truth], "auroc") == (0.5, 1.0, [1.0])
     # constant metric: tie resolves to the larger penalty
     path2 = baselines.LassoPath(lambdas=np.array([0.5, 0.1]), graphs=[g, g])
-    lam2, _ = baselines.best_over_path(path2, truth, metric="auroc")
-    assert lam2 == 0.5
+    assert _best_over_path(path2, [truth], "auroc")[0] == 0.5
+    # equal means from different per-sample values tie too; a larger later mean wins
+    values = np.array([[0.75, 0.25], [0.25, 0.75], [0.5, 0.5 + 2.0 ** -51]])
+    assert baselines.best_penalty([0.5, 0.2], values[:2], [0, 1]) == (0.5, 0.5, [0.75, 0.25])
+    assert baselines.best_penalty([0.5, 0.2, 0.1], values, [0, 1])[0] == 0.1
 
 
 def test_best_over_path_matches_exhaustive_scan():
@@ -157,7 +166,7 @@ def test_best_over_path_matches_exhaustive_scan():
     np.fill_diagonal(truth, False)
     iu = np.triu_indices(6, 1)
     per_lambda = [metrics.auroc(symmetric_scores(w)[iu], truth[iu]) for w in path.graphs]
-    lam, best = baselines.best_over_path(path, truth, metric="auroc")
+    lam, best, _ = _best_over_path(path, [truth], "auroc")
     assert best == max(per_lambda)
     assert lam == path.lambdas[int(np.argmax(per_lambda))]
 
@@ -264,8 +273,7 @@ def test_best_over_path_per_sample_values():
     wide = band | (np.abs(datagen.banded_precision(6, 2, 1.0, 0.4)) > 1e-10)
     np.fill_diagonal(wide, False)
     truths = [band, wide, band]
-    lam, val, vals = baselines.best_over_path(path, truths, metric="auprc", per_sample=True)
-    assert (lam, val) == baselines.best_over_path(path, truths, metric="auprc")
+    lam, val, vals = _best_over_path(path, truths, "auprc")
     assert len(vals) == 3 and vals[0] == vals[2]
-    assert val == math.fsum(vals) / 3
+    assert val == metrics.mean(vals)
     assert lam in path.lambdas

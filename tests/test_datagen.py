@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgm import datagen
-from cdgm.errors import CyclicGraph, NotPositiveDefinite, ShapeMismatch
+from cdgm.errors import CyclicGraph, ShapeMismatch
 from cdgm.numerics import SeededRng, cholesky
 
 
@@ -46,8 +46,10 @@ def test_block_precision_placement():
 
 def test_mix_precision_weights():
     a, b = np.eye(2), np.array([[2.0, 0.5], [0.5, 2.0]])
-    assert np.array_equal(datagen.mix_precision([1.0, 0.0], [a, b]), a)
-    assert np.allclose(datagen.mix_precision([0.5, 0.5], [a, b]), (a + b) / 2)
+    assert np.array_equal(datagen._mix([1.0, 0.0], [a, b]), a)
+    assert np.allclose(datagen._mix([0.5, 0.5], [a, b]), (a + b) / 2)
+    stack = datagen._mix([[1.0, 0.0], [0.5, 0.5]], [a, b])
+    assert np.array_equal(stack[1], datagen._mix([0.5, 0.5], [a, b]))
 
 
 def test_mix_precision_convex_random_is_pd():
@@ -55,32 +57,32 @@ def test_mix_precision_convex_random_is_pd():
     cands = [datagen.banded_precision(8, l, 1.0, 0.3) for l in (1, 2, 3)]
     for _ in range(20):
         w = gen.dirichlet(np.ones(3))
-        cholesky(datagen.mix_precision(w, cands))
-
-
-def test_mix_precision_negative_weight_checked():
-    cands = [datagen.block_precision(9, l, 3, 1.0, 0.45) for l in (1, 2, 3)]
-    with pytest.raises(NotPositiveDefinite):
-        datagen.mix_precision([1.0, 1.2, -1.2], cands)
+        cholesky(datagen._mix(w, cands))
 
 
 # --- covariate branch rules ----------------------------------------------
 
 
+def _weights(spec, z):
+    """Weights and label of one covariate, as a one-row stack."""
+    w, c = datagen.covariate_to_weights(spec, [z])
+    return w[0], int(c[0])
+
+
 def test_g1_branch_rules():
     spec = datagen.make_setting("G1", seed=0, p=8)
-    w, c = datagen.covariate_to_weights(spec, [0.2, 0.1])
+    w, c = _weights(spec, [0.2, 0.1])
     assert c == 1 and np.allclose(w, [0.2, 0.8, 0.0])
-    w, c = datagen.covariate_to_weights(spec, [0.4, 0.5])
+    w, c = _weights(spec, [0.4, 0.5])
     assert c == 2 and np.allclose(w, [0.0, 0.4, 0.6])
-    w, c = datagen.covariate_to_weights(spec, [0.7, 0.9])
+    w, c = _weights(spec, [0.7, 0.9])
     assert c == 3 and np.allclose(w, [0.7, 0.0, 0.3])
 
 
 def test_g1_boundary_goes_to_lower_interval():
     spec = datagen.make_setting("G1", seed=0, p=8)
-    assert datagen.covariate_to_weights(spec, [0.5, 1.0 / 3.0])[1] == 1
-    assert datagen.covariate_to_weights(spec, [0.5, 2.0 / 3.0])[1] == 2
+    assert _weights(spec, [0.5, 1.0 / 3.0])[1] == 1
+    assert _weights(spec, [0.5, 2.0 / 3.0])[1] == 2
 
 
 def test_g2_branches_from_transformed_covariate():
@@ -91,7 +93,7 @@ def test_g2_branches_from_transformed_covariate():
     seen = set()
     for _ in range(300):
         z = gen.standard_normal(spec.q)
-        w, c = datagen.covariate_to_weights(spec, z)
+        w, c = _weights(spec, z)
         seen.add(c)
         zt = w[0]
         if c == 1:
@@ -166,18 +168,23 @@ def test_topological_order_detects_cycles():
         datagen.topological_order(a)
 
 
+def _mixed_dag(spec, z):
+    """The weighted DAG the SEM runs on at covariate ``z`` (before any
+    transposed reading)."""
+    w, _ = _weights(spec, z)
+    b1, b2 = spec.candidates
+    return w[0] * b1 + w[1] * b2
+
+
 def test_dag_mix_branches():
     spec = datagen.make_setting("D1", seed=4, p=10)
-    b1, b2 = spec.candidates
-    at, _ = datagen.dag_mix(spec, [0.25, -0.7])
-    assert np.array_equal(at, b1)
-    at, _ = datagen.dag_mix(spec, [0.75, 0.0])
-    assert np.array_equal(at, b2)  # mixed branch, zero weight on first tree
-    at, _ = datagen.dag_mix(spec, [0.75, 1.0])
-    assert np.array_equal(at, b1)
-    at, support = datagen.dag_mix(spec, [0.75, 0.5])
-    assert np.array_equal(at, 0.25 * b1 + 0.75 * b2)
-    assert np.array_equal(support, ((b1 + b2) != 0).astype(float))
+    Z = [[0.25, -0.7], [0.75, 0.0], [0.75, 1.0], [0.75, 0.5]]
+    weights, labels = datagen.covariate_to_weights(spec, Z)
+    # the mixed branch puts zero weight on the first tree at z2 = 0
+    assert weights.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.25, 0.75]]
+    assert labels.tolist() == [1, 3, 3, 3]
+    assert datagen.support_keys(spec, Z).tolist() == [
+        [True, False], [False, True], [True, False], [True, True]]
 
 
 def test_sem_linear_zero_adjacency():
@@ -194,7 +201,7 @@ def test_sem_linear_chain_propagates():
 
 def test_sem_hermite_matches_direct_recomputation():
     spec = datagen.make_setting("D2", seed=5, p=6)
-    at, _ = datagen.dag_mix(spec, [0.8, 0.6])
+    at = _mixed_dag(spec, [0.8, 0.6])
     noise = np.linspace(-0.5, 0.5, 6)
     x = datagen.sem_simulate(at, family="hermite", coeffs=spec.hermite_coeffs, noise=noise)
     order = datagen.topological_order(at)
@@ -356,20 +363,46 @@ def test_d_setting_truth_is_moralized_support():
     spec = datagen.make_setting("D1", seed=9, p=10)
     ds = datagen.generate_dataset(spec, 40, (40, 0, 0))
     b1, b2 = spec.candidates
-    union = ((b1 + b2) != 0).astype(float)
+    union = (b1 + b2) != 0
     for z in ds.Z:
-        at, support = datagen.dag_mix(spec, z)
+        support = _mixed_dag(spec, z) != 0
         assert np.array_equal(datagen.truth_skeleton(spec, z), datagen.moralize(support))
-        w, _ = datagen.covariate_to_weights(spec, z)
+        w, _ = _weights(spec, z)
         if w[0] > 0 and w[1] > 0:
             assert np.array_equal(support, union)
+
+
+def _nx_moral_graph(a) -> np.ndarray:
+    """networkx's moral graph of the DAG with (child, parent) adjacency ``a``."""
+    import networkx as nx
+
+    dag = nx.DiGraph()
+    dag.add_nodes_from(range(a.shape[0]))
+    child, parent = np.nonzero(a)
+    dag.add_edges_from(zip(parent.tolist(), child.tolist()))
+    skel = np.zeros(a.shape, dtype=bool)
+    for j, k in nx.moral_graph(dag).edges():
+        skel[j, k] = skel[k, j] = True
+    return skel
+
+
+@pytest.mark.parametrize("setting", ["D1", "D2"])
+def test_transposed_truth_is_moral_graph_of_the_simulated_dag(setting):
+    # With transpose_coeffs the SEM runs on the transposed mixed DAG, so
+    # the truth must be that DAG's moral graph, in D1 as in D2.
+    spec = datagen.make_setting(setting, seed=3, transpose_coeffs=True)
+    assert spec.p == 50
+    Z = datagen.generate_dataset(spec, 60, (60, 0, 0)).Z
+    for z in Z:
+        assert np.array_equal(datagen.truth_skeleton(spec, z),
+                              _nx_moral_graph(_mixed_dag(spec, z).T))
 
 
 def test_every_gaussian_theta_is_pd():
     spec = datagen.make_setting("G2", seed=10, p=9, block_size=3)
     ds = datagen.generate_dataset(spec, 200, (200, 0, 0))
-    for z in ds.Z:
-        cholesky(datagen.ground_truth_theta(spec, z))
+    weights, _ = datagen.covariate_to_weights(spec, ds.Z)
+    cholesky(datagen._mix(weights, spec.candidates))
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -406,9 +439,8 @@ def test_transposed_coefficient_reading_runs_and_differs():
     assert np.array_equal(ds_a.Z, ds_b.Z)
     assert not np.allclose(ds_a.X, ds_b.X)
     z = ds_a.Z[0]
-    at, support = datagen.dag_mix(base, z)
     assert np.array_equal(datagen.truth_skeleton(flipped, z),
-                          datagen.moralize(support.T))
+                          datagen.moralize(_mixed_dag(base, z).T))
 
 
 @pytest.mark.parametrize("setting", ["G2", "N2"])

@@ -85,16 +85,6 @@ def test_predict_nodes_permutation_equivariance():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_mse_loss_examples_and_oracle():
-    assert estimator.mse_loss(np.ones((3, 2)), np.ones((3, 2))) == 0.0
-    assert estimator.mse_loss(np.array([[3.0, 4.0]]), np.zeros((1, 2))) == 25.0
-    gen = np.random.default_rng(2)
-    xhat = gen.normal(size=(7, 5))
-    x = gen.normal(size=(7, 5))
-    naive = sum((xhat[i, j] - x[i, j]) ** 2 for i in range(7) for j in range(5)) / 7
-    assert abs(estimator.mse_loss(xhat, x) - naive) < 1e-12
-
-
 @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
 @settings(max_examples=100, deadline=None)
 def test_squared_loss_strong_convexity_and_lipschitz(a1, a2, b):
@@ -139,10 +129,8 @@ def test_train_snapshot_never_worse_than_initialization():
     init_model = estimator.CdgmModel(
         p=model.p, q=model.q, spec=model.spec,
         params=nn.init_params(model.spec, SeededRng(1, 0)))
-    init_val = estimator.mse_loss(
-        estimator.predict_nodes(init_model, Zval, Xval), Xval)
-    final_val = estimator.mse_loss(
-        estimator.predict_nodes(model, Zval, Xval), Xval)
+    init_val = estimator._validation_mse(init_model, Xval, Zval)
+    final_val = estimator._validation_mse(model, Xval, Zval)
     assert final_val <= init_val + 1e-12
 
 

@@ -179,7 +179,7 @@ def test_g2_factors_each_draw_exactly_once(monkeypatch):
 def test_chunk_of_only_negative_weight_mixes():
     spec = datagen.make_setting("G2", seed=0, p=9, block_size=3)
     ds = datagen.generate_dataset(spec, 1, (1, 0, 0))
-    assert datagen.covariate_to_weights(spec, ds.Z[0])[0].min() < 0.0
+    assert datagen.covariate_to_weights(spec, ds.Z[:1])[0].min() < 0.0
     X, Z, _ = _reference_dataset(spec, 1)
     assert np.array_equal(ds.X, X) and np.array_equal(ds.Z, Z)
 
@@ -207,8 +207,8 @@ def test_batched_weights_equal_scalar_rule(setting):
     for z, w, c in zip(Z, weights, labels):
         ref_w, ref_c = _ref_weights(spec, z)
         assert np.array_equal(w, ref_w) and c == ref_c
-        one_w, one_c = datagen.covariate_to_weights(spec, z)
-        assert np.array_equal(one_w, ref_w) and one_c == ref_c
+        one_w, one_c = datagen.covariate_to_weights(spec, z[None])
+        assert np.array_equal(one_w[0], ref_w) and one_c[0] == ref_c
     assert np.array_equal(datagen.cluster_labels(spec, Z), labels)
 
 
@@ -218,20 +218,9 @@ def test_grouped_truth_equals_per_sample_truth(setting, pseudo):
     spec = datagen.make_setting(setting, seed=6)
     Z = datagen.generate_dataset(spec, 150, (150, 0, 0)).Z
     Z = np.vstack([Z, _probe_covariates(spec, np.random.default_rng(7), n=20)])
-    if spec.setting in ("G2", "N2"):
-        # keep covariates whose mix is positive definite, as generated ones are
-        Z = Z[[_pd(spec, z) for z in Z]]
     iu = np.triu_indices(spec.p, k=1)
     per_sample = np.array([datagen.truth_skeleton(spec, z, pseudo=pseudo)[iu] for z in Z])
     assert np.array_equal(harness.truth_vectors(spec, Z, pseudo), per_sample)
-
-
-def _pd(spec, z):
-    try:
-        datagen.ground_truth_theta(spec, z)
-    except NotPositiveDefinite:
-        return False
-    return True
 
 
 def test_tiny_weight_leaves_its_candidate_out_of_truth():

@@ -38,13 +38,9 @@ def test_normalize_all_zero_raises():
         graphops.normalize(np.zeros((3, 3)))
 
 
-def test_symmetric_scores_min_and_mean():
+def test_symmetric_scores_min():
     w = np.array([[0.0, 0.8], [-0.2, 0.0]])
     assert np.allclose(graphops.symmetric_scores(w), [[0.0, 0.2], [0.2, 0.0]])
-    assert np.allclose(graphops.symmetric_scores(w, method="mean"),
-                       [[0.0, 0.5], [0.5, 0.0]])
-    with pytest.raises(ShapeMismatch):
-        graphops.symmetric_scores(w, method="max")
 
 
 def test_symmetric_scores_symmetric_input_is_abs():

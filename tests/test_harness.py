@@ -276,10 +276,51 @@ def test_cli_failed_method_on_stderr_and_exit_code(tmp_path):
                       "train and validation splits must be nonempty"
                       for i, s in ((0, 5), (1, 6))]
     assert "failed in every replicate: dnn" in proc.stderr
+    assert "did not converge" not in proc.stderr  # the lasso fits converged
     assert "nodewise-lasso: auroc" in proc.stdout
     rep = json.loads((out / "replicate_001.json").read_text())
     assert rep["methods"]["dnn"]["status"] == "failed"
     assert rep["methods"]["nodewise-lasso"]["status"] == "ok"
+
+
+def test_cli_nonconverged_lasso_on_stderr(tmp_path):
+    # one sweep per penalty cannot meet the stopping rule; the count goes to
+    # stderr beside the failed-method lines, and the replicate JSON keeps it
+    out = tmp_path / "exp"
+    cfg_file = _write_experiment_config(tmp_path / "exp.cfg", out, "replicates = 2",
+                                        "seeds = 5, 6", "methods = nodewise-lasso",
+                                        "lasso.max_iter = 1")
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counts = [json.loads((out / f"replicate_00{i}.json").read_text())
+              ["methods"]["nodewise-lasso"]["lasso_nonconverged"] for i in (0, 1)]
+    assert min(counts) > 0
+    assert proc.stderr.splitlines() == [
+        f"replicate {i} (seed {s}): nodewise-lasso: {n} lasso fits did not converge "
+        "within lasso.max_iter sweeps" for i, s, n in ((0, 5, counts[0]), (1, 6, counts[1]))]
+
+
+def test_report_mean_is_correctly_rounded_at_canonical_size(tmp_path):
+    # fsum/len gives 0.9152387711500001 for this cell, which prints as
+    # ...712; the exact mean is 0.91523877115, which prints as ...711
+    cfg = harness.ExperimentConfig(setting="G1", seeds=(326001,), n_train=1200, n_val=0,
+                                   n_test=0, methods=("nodewise-lasso",),
+                                   lasso=dict(n_lambdas=6), out_dir=str(tmp_path / "run"))
+    harness.run_experiment(cfg)
+    rows = [r.split(",") for r in (tmp_path / "run" / "report.csv").read_text().splitlines()]
+    ba = {row[4]: row[8] for row in rows[1:]}
+    assert ba["0.01"] == "0.9152387711"
+
+
+@pytest.mark.parametrize("splits", ["50,a,25", "50,30,30", "50,50", "-10,60,50"])
+def test_cli_generate_bad_splits_exit_one(tmp_path, splits):
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "generate", "--setting", "G1",
+                           "--n", "100", "--p", "6", "--out", str(tmp_path / "d"),
+                           f"--splits={splits}"], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error: --splits")
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_config_rejects_unknown_key(tmp_path):

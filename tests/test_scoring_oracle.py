@@ -5,7 +5,7 @@ The references below are frozen copies of the scoring code that
 on a stable descending sort, one ``f1_ba`` call per (sample, threshold)
 on ``threshold_and(normalize_if_nonzero(g), tau)``, ``best_over_path``
 scoring one penalty at a time, and the lasso's per-pattern F1/BA loop.
-``harness.evaluate_graphs``, ``baselines.best_over_path`` and
+``harness.evaluate_graphs``, ``baselines.best_penalty`` and
 ``harness.fit_eval_lasso`` must reproduce them bit for bit (compared
 through ``float.hex``) on trained and tie-heavy graphs.
 """
@@ -239,11 +239,11 @@ def test_best_over_path_auprc_on_complete_truth():
     gen = np.random.default_rng(3)
     path = baselines.LassoPath(lambdas=np.array([0.3, 0.2, 0.1]),
                                graphs=list(np.round(gen.normal(size=(3, 6, 6)), 1)))
-    full = ~np.eye(6, dtype=bool)
-    lam, vals = _ref_best_over_path(path, [full[np.triu_indices(6, 1)]], "auprc")
-    assert baselines.best_over_path(path, full, metric="auprc", per_sample=True)[::2] == (
-        lam, vals)
+    full = ~np.eye(6, dtype=bool)[np.triu_indices(6, 1)][None]
+    lam, vals = _ref_best_over_path(path, full, "auprc")
+    scored = baselines.score_graphs(path.graphs, full, rank=("auprc",))["auprc"]
+    assert baselines.best_penalty(path.lambdas, scored, [0])[::2] == (lam, vals)
     with pytest.raises(DegenerateLabels, match="one positive and one negative"):
-        baselines.best_over_path(path, full, metric="auroc")
+        baselines.score_graphs(path.graphs, full, rank=("auroc",))
     with pytest.raises(DegenerateLabels, match="need at least one positive$"):
-        baselines.best_over_path(path, np.zeros((6, 6), dtype=bool), metric="auprc")
+        baselines.score_graphs(path.graphs, ~full, rank=("auprc",))
