@@ -20,6 +20,25 @@ from . import metrics as metrics_mod
 from .errors import ShapeMismatch
 
 
+@dataclass
+class LassoConfig:
+    """Options of the nodewise-lasso baseline: the ``lasso.*`` config keys."""
+
+    n_lambdas: int = 50
+    lambda_min_ratio: float = 0.001
+    tol: float = 1e-10
+    max_iter: int = 100_000
+    export_paths: bool = False
+
+    def __post_init__(self):
+        if self.n_lambdas < 1 or self.max_iter < 1:
+            raise ShapeMismatch("n_lambdas and max_iter must be >= 1")
+        if not 0 < self.lambda_min_ratio < 1:
+            raise ShapeMismatch("lambda_min_ratio must be in (0, 1)")
+        if not self.tol > 0:
+            raise ShapeMismatch("tol must be > 0")
+
+
 def soft_threshold(v, lam):
     """Elementwise sign(v) * max(|v| - lam, 0), exactly zero inside [-lam, lam]."""
     return v - np.minimum(np.maximum(v, -lam), lam)
@@ -62,8 +81,8 @@ def _coordinate_descent(gram, corr, b, lam, tol: float,
     return b, ~np.isin(np.arange(b.shape[1]), todo)
 
 
-def lasso_cd(x_design, y, lam: float, tol: float = 1e-10, max_iter: int = 100_000,
-             warm_start=None) -> tuple[np.ndarray, bool]:
+def lasso_cd(x_design, y, lam: float, tol: float = LassoConfig.tol,
+             max_iter: int = LassoConfig.max_iter, warm_start=None) -> tuple[np.ndarray, bool]:
     """Minimize (1/2n)||y - Xb||^2 + lam ||b||_1 by cyclic coordinate descent.
 
     The one-column case of the shared kernel, with its stopping rule.
@@ -106,21 +125,22 @@ class LassoPath:
         self.lambdas = lam
 
 
-def lambda_grid(lam_max: float, n_lambdas: int = 50, min_ratio: float = 0.001) -> np.ndarray:
+def lambda_grid(lam_max: float, n_lambdas: int,
+                min_ratio: float = LassoConfig.lambda_min_ratio) -> np.ndarray:
     return lam_max * np.logspace(0.0, math.log10(min_ratio), n_lambdas)
 
 
-def nodewise_lasso_graphs(x, lambdas=None, n_lambdas: int = 50,
-                          lambda_min_ratio: float = 0.001, tol: float = 1e-10,
-                          max_iter: int = 100_000) -> LassoPath:
+def nodewise_lasso_graphs(x, lambdas=None, **options) -> LassoPath:
     """Regress each node on the rest over a shared penalty path.
 
-    Columns are scaled to unit root-mean-square internally and the
-    coefficients are unscaled on return. The grid defaults to 50
-    log-spaced values from the smallest penalty that zeroes every
-    regression down to 0.001 of it. The p fits run as one stack on the
-    Gram matrix of the scaled columns.
+    ``options`` are ``LassoConfig`` fields. Columns are scaled to unit
+    root-mean-square internally and the coefficients are unscaled on
+    return. The grid defaults to ``n_lambdas`` log-spaced values from the
+    smallest penalty that zeroes every regression down to
+    ``lambda_min_ratio`` of it. The p fits run as one stack on the Gram
+    matrix of the scaled columns.
     """
+    opts = LassoConfig(**options)
     x = np.asarray(x, dtype=np.float64)
     n, p = x.shape
     if n < 2:
@@ -132,7 +152,7 @@ def nodewise_lasso_graphs(x, lambdas=None, n_lambdas: int = 50,
     if lambdas is None:
         lam_max = max(np.max(np.abs(xs[:, np.arange(p) != j].T @ xs[:, j])) / n
                       for j in range(p))
-        lambdas = lambda_grid(lam_max, n_lambdas, lambda_min_ratio)
+        lambdas = lambda_grid(lam_max, opts.n_lambdas, opts.lambda_min_ratio)
     lambdas = np.asarray(lambdas, dtype=np.float64)
 
     gram = xs.T @ xs / n
@@ -140,7 +160,7 @@ def nodewise_lasso_graphs(x, lambdas=None, n_lambdas: int = 50,
     graphs, nonconverged = [], 0
     for lam in lambdas:
         penalty = np.where(np.eye(p, dtype=bool), np.inf, lam)  # no self-regression
-        b, converged = _coordinate_descent(gram, gram, b, penalty, tol, max_iter)
+        b, converged = _coordinate_descent(gram, gram, b, penalty, opts.tol, opts.max_iter)
         nonconverged += int(np.count_nonzero(~converged))
         # unscale: coefficients on the original columns of x, node j in row j
         graphs.append(b.T * scale[:, None] / scale[None, :])

@@ -8,13 +8,14 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
-from . import datagen, estimator, graphops, harness, metrics, theory
+from . import baselines, datagen, estimator, graphops, harness, metrics, theory
 from .errors import CdgmError, DomainError
 
 
@@ -29,31 +30,54 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def _cast(cast, key: str, text: str):
-    """``cast(text)``, with an unreadable value as a usage error naming ``key``."""
+def _cast(tp, key: str, text: str):
+    """``text`` as a value of the declared type ``tp``, with an unreadable
+    value as a usage error naming ``key``. A tuple is a comma-separated
+    list and a bool is ``true`` or ``false``."""
+    if typing.get_origin(tp) is tuple:
+        return tuple(_cast(typing.get_args(tp)[0], key, v.strip())
+                     for v in text.split(",") if v.strip())
+    if typing.get_origin(tp) is types.UnionType:  # ``int | None``: a value is never None
+        tp = typing.get_args(tp)[0]
     try:
-        return cast(text)
-    except ValueError:
+        return {"true": True, "false": False}[text.lower()] if tp is bool else tp(text)
+    except (KeyError, ValueError):
         raise UsageError(f"config key {key!r}: {text!r} is not a valid "
-                         f"{cast.__name__}") from None
+                         f"{tp.__name__}") from None
+
+
+def _checked(make, **options):
+    """``make(**options)``, with a rejected option as a usage error."""
+    try:
+        return make(**options)
+    except (CdgmError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _config_keys() -> dict[str, tuple[str | None, str, object]]:
+    """Every config key as (override group or None, name, declared type):
+    the fields of ``ExperimentConfig``, ``TrainConfig`` (``dnn.*``) and
+    ``LassoConfig`` (``lasso.*``), and ``make_setting``'s keywords (``gen.*``)."""
+    gen = [p for p in inspect.signature(datagen.make_setting, eval_str=True).parameters.values()
+           if p.kind is p.KEYWORD_ONLY]
+    keys = {}
+    for prefix, group, hints in (
+            ("", None, typing.get_type_hints(harness.ExperimentConfig)),
+            ("dnn.", "dnn", typing.get_type_hints(estimator.TrainConfig)),
+            ("lasso.", "lasso", typing.get_type_hints(baselines.LassoConfig)),
+            ("gen.", "generator", {p.name: p.annotation for p in gen})):
+        keys.update((prefix + name, (group, name, tp)) for name, tp in hints.items()
+                    if tp is not dict)
+    del keys["dnn.family"]  # the method name picks the family
+    keys["dnn.lr"] = keys["dnn.base_lr"]
+    return keys
 
 
 def parse_config_file(path) -> harness.ExperimentConfig:
     """Flat key-value experiment config; '#' starts a comment.
 
-    Dotted keys (dnn.*, lasso.*, gen.*) collect into per-method override
-    dicts; list-valued keys are comma-separated.
+    Each key is read as the type ``_config_keys`` declares for it; dotted
+    keys collect into the per-method override dicts.
     """
     kv = {}
     for raw in Path(path).read_text().splitlines():
@@ -65,53 +89,18 @@ def parse_config_file(path) -> harness.ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         kv[key] = value
 
+    keys = _config_keys()
     cfg = {"dnn": {}, "lasso": {}, "generator": {}}
-    list_keys = {"seeds": int, "thresholds": float, "methods": str}
-    tuple_keys = {"block1", "block2"}
     for key, value in kv.items():
-        if key.startswith("dnn."):
-            sub = key[4:]
-            if sub in tuple_keys:
-                cfg["dnn"][sub] = tuple(_cast(int, key, v) for v in value.split(",") if v)
-            else:
-                cfg["dnn"][sub] = _parse_scalar(value)
-        elif key.startswith("lasso."):
-            cfg["lasso"][key[6:]] = _parse_scalar(value)
-        elif key.startswith("gen."):
-            cfg["generator"][key[4:]] = _parse_scalar(value)
-        elif key in list_keys:
-            cast = list_keys[key]
-            cfg[key] = tuple(_cast(cast, key, v.strip()) for v in value.split(",") if v.strip())
-        elif key in ("setting", "out_dir"):
-            cfg[key] = value
-        elif key in ("replicates", "n_train", "n_val", "n_test"):
-            cfg[key] = _cast(int, key, value)
-        elif key == "pseudo_moral":
-            cfg[key] = value.lower() == "true"
-        else:
-            raise UsageError(f"unknown config key {key!r}")
+        if key not in keys:
+            prefix = key.rpartition(".")[0]
+            known = [k for k in keys if k.rpartition(".")[0] == prefix] or list(keys)
+            raise UsageError(f"unknown config key {key!r}; known keys: {', '.join(known)}")
+        group, name, tp = keys[key]
+        (cfg[group] if group else cfg)[name] = _cast(tp, key, value)
     if "setting" not in cfg:
         raise UsageError("config must define 'setting'")
-    gen_keys = [name for name, prm in inspect.signature(datagen.make_setting).parameters.items()
-                if prm.kind is prm.KEYWORD_ONLY]
-    known = {
-        "dnn": [f.name for f in dataclasses.fields(estimator.TrainConfig)] + ["lr"],
-        "lasso": harness.LASSO_OPTIONS,
-        "generator": gen_keys,
-    }
-    for group, names in known.items():
-        for sub in cfg[group]:
-            if sub not in names:
-                prefix = "gen" if group == "generator" else group
-                raise UsageError(f"unknown config key '{prefix}.{sub}'; "
-                                 f"known {prefix}.* keys: {', '.join(names)}")
-    # rename to the estimator's parameter names
-    if "lr" in cfg["dnn"]:
-        cfg["dnn"]["base_lr"] = cfg["dnn"].pop("lr")
-    try:
-        return harness.ExperimentConfig(**cfg)
-    except (CdgmError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    return _checked(harness.ExperimentConfig, **cfg)
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
@@ -155,12 +144,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = datagen.load_dataset(args.data)
     overrides = {"family": args.family, "seed": args.seed}
     if args.epochs is not None:
         overrides["epochs"] = args.epochs
     if args.lr is not None:
         overrides["base_lr"] = args.lr
+    _checked(estimator.TrainConfig, **overrides)  # before any data is read
+    ds = datagen.load_dataset(args.data)
     cfg = estimator.default_train_config(ds.spec.setting, **overrides)
     model, history = estimator.train(ds, cfg)
     out = Path(args.out)
@@ -202,14 +192,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    lasso = {"n_lambdas": args.n_lambdas, "lambda_min_ratio": args.lambda_min_ratio,
+             "export_paths": args.export_paths}
+    _checked(baselines.LassoConfig, **lasso)  # before any data is read
     ds = datagen.load_dataset(args.data)
     cfg = harness.ExperimentConfig(
         setting=ds.spec.setting, seeds=(ds.seed,), methods=("nodewise-lasso",),
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],
-        pseudo_moral=args.pseudo_moral,
-        lasso={"n_lambdas": args.n_lambdas, "lambda_min_ratio": args.lambda_min_ratio,
-               "export_paths": args.export_paths},
-        out_dir=args.out)
+        pseudo_moral=args.pseudo_moral, lasso=lasso, out_dir=args.out)
     res = harness.fit_eval_lasso(cfg, ds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,9 +296,9 @@ def build_parser() -> _Parser:
     b = sub.add_parser("baseline", help="nodewise lasso per covariate cluster")
     b.add_argument("--data", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--n-lambdas", type=int, default=50, dest="n_lambdas")
-    b.add_argument("--lambda-min-ratio", type=float, default=0.001,
-                   dest="lambda_min_ratio")
+    b.add_argument("--n-lambdas", type=int, default=baselines.LassoConfig.n_lambdas)
+    b.add_argument("--lambda-min-ratio", type=float,
+                   default=baselines.LassoConfig.lambda_min_ratio)
     b.add_argument("--export-paths", action="store_true", dest="export_paths",
                    help="write one penalty-path CSV per cluster")
     b.add_argument("--pseudo-moral", action="store_true", dest="pseudo_moral")

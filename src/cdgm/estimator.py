@@ -101,7 +101,6 @@ class TrainConfig:
     block1: tuple[int, ...] = (128, 64)
     block2: tuple[int, ...] = (128,)
     dropout: float = 0.3
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
@@ -110,6 +109,8 @@ class TrainConfig:
             raise ShapeMismatch(f"unknown model family {self.family!r}")
         if self.lr_step < 1:
             raise ShapeMismatch("lr_step must be >= 1")
+        if self.seed < 0:
+            raise ShapeMismatch("seed must be >= 0")
         if not self.clip_norm > 0:
             raise ShapeMismatch("clip_norm must be > 0 (inf turns clipping off)")
         if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
@@ -208,7 +209,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
 
     for epoch in range(cfg.epochs):
         lr = nn.scheduled_lr(state, epoch)
-        order = shuffle_rng.generator.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.generator.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]

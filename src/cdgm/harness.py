@@ -26,8 +26,6 @@ from .errors import CdgmError, ShapeMismatch
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 # Model family ``estimator.train`` fits for each network method.
 NETWORK_FAMILIES = {"dnn": "dnn", "reggmm": "linear"}
-# Options fit_eval_lasso reads from ``ExperimentConfig.lasso``.
-LASSO_OPTIONS = ("n_lambdas", "lambda_min_ratio", "tol", "max_iter", "export_paths")
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
 
 
@@ -65,27 +63,32 @@ class ExperimentConfig:
             raise ShapeMismatch("one seed per replicate required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ShapeMismatch("replicate seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ShapeMismatch("seeds must be >= 0")
+        if self.n_train < 1:
+            raise ShapeMismatch("n_train must be >= 1")
+        if self.n_val < 0 or self.n_test < 0:
+            raise ShapeMismatch("n_val and n_test must be >= 0")
         self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ShapeMismatch(f"unknown method {m!r}")
         self.thresholds = check_thresholds(self.thresholds)
-        # Bad dnn.* values fail here, before any data is generated, through
-        # the same TrainConfig and network spec the fit builds.
-        families = [NETWORK_FAMILIES[m] for m in self.methods if m in NETWORK_FAMILIES]
-        if families:
-            spec = datagen.make_setting(self.setting, seed=self.seeds[0], **self.generator)
-            for family in families:
-                estimator._network_spec(_train_config(self, self.seeds[0], family),
+        # Bad gen.*, dnn.* and lasso.* values fail here, before any data is
+        # generated, through the same setting spec, TrainConfig, network
+        # spec and LassoConfig the fits build.
+        spec = datagen.make_setting(self.setting, seed=self.seeds[0], **self.generator)
+        for m in self.methods:
+            if m in NETWORK_FAMILIES:
+                estimator._network_spec(_train_config(self, self.seeds[0], NETWORK_FAMILIES[m]),
                                         spec.p, spec.q)
+        baselines.LassoConfig(**self.lasso)
 
 
 def _train_config(cfg: ExperimentConfig, seed: int, family: str) -> estimator.TrainConfig:
     """The TrainConfig a replicate with ``seed`` fits ``family`` with."""
-    overrides = dict(cfg.dnn)
-    overrides.setdefault("seed", seed)
-    overrides["family"] = family
-    return estimator.default_train_config(cfg.setting, **overrides)
+    return estimator.default_train_config(cfg.setting, family=family,
+                                          **{"seed": seed, **cfg.dnn})
 
 
 def truth_vectors(spec, Z, pseudo: bool) -> np.ndarray:
@@ -137,17 +140,13 @@ def fit_eval_dnn(cfg: ExperimentConfig, ds: datagen.Dataset, seed: int,
     }
 
 
-def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
-    """Cluster-partitioned penalty-path baseline, scored on training samples."""
+def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset, replicate: int = 0) -> dict:
+    """Cluster-partitioned penalty-path baseline, scored on training samples;
+    ``lasso.export_paths`` writes one path CSV per cluster and replicate."""
     Xtr, Ztr = ds.part("train")
     labels = datagen.cluster_labels(ds.spec, Ztr)
     truths = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
-    opts = dict(cfg.lasso)
-    n_lambdas = int(opts.get("n_lambdas", 50))
-    min_ratio = float(opts.get("lambda_min_ratio", 0.001))
-    tol = float(opts.get("tol", 1e-10))
-    max_iter = int(opts.get("max_iter", 100_000))
-    export_paths = bool(opts.get("export_paths", False))
+    export_paths = baselines.LassoConfig(**cfg.lasso).export_paths
 
     per_sample = {"auroc": np.empty(len(Xtr)), "auprc": np.empty(len(Xtr))}
     tau_keys = [f"f1@{t:g}" for t in cfg.thresholds] + [f"ba@{t:g}" for t in cfg.thresholds]
@@ -158,14 +157,13 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset) -> dict:
 
     for cluster in sorted(set(labels.tolist())):
         members = np.nonzero(labels == cluster)[0]
-        path = baselines.nodewise_lasso_graphs(
-            Xtr[members], n_lambdas=n_lambdas, lambda_min_ratio=min_ratio,
-            tol=tol, max_iter=max_iter)
+        path = baselines.nodewise_lasso_graphs(Xtr[members], **cfg.lasso)
         nonconverged += path.nonconverged
         if export_paths:
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            baselines.write_path_csv(path, out / f"lasso_path_cluster{cluster}.csv")
+            csv = f"lasso_path_cluster{cluster}_{replicate:03d}.csv"
+            baselines.write_path_csv(path, out / csv)
         # every member shares the path, so each distinct truth is scored once
         patterns, inverse = metrics.distinct_rows(truths[members])
         ranked = baselines.score_graphs(path.graphs, patterns)
@@ -203,7 +201,7 @@ def run_replicate(cfg: ExperimentConfig, index: int) -> dict:
             if method in NETWORK_FAMILIES:
                 res = fit_eval_dnn(cfg, ds, seed, family=NETWORK_FAMILIES[method])
             else:
-                res = fit_eval_lasso(cfg, ds)
+                res = fit_eval_lasso(cfg, ds, index)
             res["status"] = "ok"
         except Exception as exc:  # record the failure, keep the run going
             res = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdgm import cli, datagen, estimator, graphops, harness
+from cdgm import baselines, cli, datagen, estimator, graphops, harness
 from cdgm.errors import ShapeMismatch
 
 
@@ -204,6 +204,21 @@ def test_cli_eval_rejects_bad_thresholds_before_reading(g1_model, tmp_path, flag
         assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("args,message", [(["train", "--epochs", "0"], "epochs"),
+                                          (["train", "--seed", "-1"], "seed"),
+                                          (["baseline", "--n-lambdas", "0"], "n_lambdas"),
+                                          (["baseline", "--lambda-min-ratio", "2"],
+                                           "lambda_min_ratio")])
+def test_cli_train_baseline_reject_bad_flags_before_reading(tmp_path, args, message):
+    # the data directory is missing: reading it would be a runtime failure (exit 2)
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", *args, "--data",
+                           str(tmp_path / "missing"), "--out", str(tmp_path / "r")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_eval_edge_lists_match_per_graph_skeletons(g1_model, tmp_path):
     data, model = g1_model
     tau = 0.3
@@ -352,7 +367,22 @@ def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
                                           ("thresholds = 0.1, abc", "thresholds"),
                                           ("seeds = 1, x", "seeds"),
                                           ("n_train = abc", "n_train"),
-                                          ("dnn.block1 = 128, x", "dnn.block1")])
+                                          ("dnn.block1 = 128, x", "dnn.block1"),
+                                          ("lasso.n_lambdas = abc", "lasso.n_lambdas"),
+                                          ("lasso.n_lambdas = 0", "n_lambdas"),
+                                          ("lasso.lambda_min_ratio = 2", "lambda_min_ratio"),
+                                          ("lasso.max_iter = 0", "max_iter"),
+                                          ("lasso.tol = -1", "tol"),
+                                          ("lasso.export_paths = maybe", "lasso.export_paths"),
+                                          ("dnn.epochs = 2.5", "dnn.epochs"),
+                                          ("dnn.seed = 1.5", "dnn.seed"),
+                                          ("dnn.family = linear", "dnn.family"),
+                                          ("dnn.shuffle = false", "dnn.shuffle"),
+                                          ("pseudo_moral = maybe", "pseudo_moral"),
+                                          ("gen.transpose_coeffs = maybe", "gen.transpose_coeffs"),
+                                          ("n_train = -5", "n_train"),
+                                          ("seeds = -1", "seeds"),
+                                          ("methods = nodewise-lasso\ngen.p = abc", "gen.p")])
 def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, message):
     out = tmp_path / "run"
     cfg_file = tmp_path / "bad.cfg"
@@ -363,6 +393,23 @@ def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, 
     assert proc.returncode == 1
     assert proc.stderr.startswith("usage error:") and message in proc.stderr
     assert not out.exists()
+
+
+def test_exported_lasso_paths_are_per_replicate(tmp_path):
+    cfg = _tiny_config(tmp_path, replicates=2, seeds=(3, 4), methods=("nodewise-lasso",),
+                       lasso=dict(n_lambdas=6, export_paths=True))
+    harness.run_experiment(cfg)
+    out, checked = Path(cfg.out_dir), 0
+    for rep, seed in enumerate(cfg.seeds):
+        spec = datagen.make_setting("G1", seed=seed, p=8)
+        Xtr, Ztr = datagen.generate_dataset(spec, 340, (220, 60, 60)).part("train")
+        labels = datagen.cluster_labels(spec, Ztr)
+        for cluster in sorted(set(labels.tolist())):
+            path = baselines.nodewise_lasso_graphs(Xtr[labels == cluster], n_lambdas=6)
+            rows = (out / f"lasso_path_cluster{cluster}_{rep:03d}.csv").read_text().splitlines()
+            assert rows[1].split(",")[0] == f"{path.lambdas[0]:.10g}"
+            checked += 1
+    assert len(list(out.glob("lasso_path_*.csv"))) == checked
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -147,7 +147,7 @@ def _ref_train(data, cfg):
     n = Xtr.shape[0]
     for epoch in range(cfg.epochs):
         lr = nn.scheduled_lr(state, epoch)
-        order = shuffle_rng.generator.permutation(n) if cfg.shuffle else np.arange(n)
+        order = shuffle_rng.generator.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]

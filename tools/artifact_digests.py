@@ -3,7 +3,9 @@
 Runs the acceptance test's c12 config, small canonical-p G2 and N2
 lasso configs (the settings whose negative-weight mixes are factored one
 at a time), a pseudo-moral D2 dnn config, a small canonical-p G2 dnn
-config (4005-pair score rows), and the benchmark workloads' configs
+config (4005-pair score rows), a D1 dnn and lasso config read by
+``cli.parse_config_file`` (so the parser decides each value's type),
+and the benchmark workloads' configs
 (``benchmark/workloads.py``) at replicate seeds 1000 and 2001 with
 whichever ``cdgm`` is importable, and prints one ``sha256  path``
 line per artifact: ``report.csv`` without its ``runtime_s`` column,
@@ -32,11 +34,33 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
 
-from cdgm import harness  # noqa: E402
+from cdgm import cli, harness  # noqa: E402
 
 import workloads  # noqa: E402
 
 SEEDS = (1000, 2001)
+# Values whose type the config parser decides: floats written as integers,
+# an infinite clip norm, a one-layer block, and a false boolean.
+PARSED_CONFIG = """\
+setting = D1
+seeds = 7
+n_train = 300
+n_val = 80
+n_test = 80
+methods = dnn, nodewise-lasso
+thresholds = 0.05, 0.1
+pseudo_moral = false
+out_dir = {out_dir}
+dnn.epochs = 3
+dnn.lr = 0.001
+dnn.dropout = 0
+dnn.clip_norm = inf
+dnn.block1 = 16
+gen.p = 12
+gen.noise_sd = 1
+lasso.n_lambdas = 6
+lasso.lambda_min_ratio = 0.01
+"""
 
 
 def configs(root: Path):
@@ -62,6 +86,9 @@ def configs(root: Path):
         yield run, harness.ExperimentConfig(
             setting="G2", replicates=1, seeds=(seed,), n_train=300, n_val=60, n_test=100,
             methods=("dnn",), out_dir=str(root / run), dnn=dict(epochs=2))
+    cfg_file = root / "d1-parsed.cfg"
+    cfg_file.write_text(PARSED_CONFIG.format(out_dir=root / "d1-parsed"))
+    yield "d1-parsed", cli.parse_config_file(cfg_file)
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             run = f"{name}-{seed}"
@@ -87,6 +114,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.work or tmp)
+        root.mkdir(parents=True, exist_ok=True)
         for name, cfg in configs(root):
             harness.run_experiment(cfg)
             out = Path(cfg.out_dir)
