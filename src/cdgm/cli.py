@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import types
@@ -57,15 +56,15 @@ def _checked(make, **options):
 def _config_keys() -> dict[str, tuple[str | None, str, object]]:
     """Every config key as (override group or None, name, declared type):
     the fields of ``ExperimentConfig``, ``TrainConfig`` (``dnn.*``) and
-    ``LassoConfig`` (``lasso.*``), and ``make_setting``'s keywords (``gen.*``)."""
-    gen = [p for p in inspect.signature(datagen.make_setting, eval_str=True).parameters.values()
-           if p.kind is p.KEYWORD_ONLY]
+    ``LassoConfig`` (``lasso.*``), and the generator options of ``SettingSpec``
+    (``gen.*``)."""
+    gen = typing.get_type_hints(datagen.SettingSpec)
     keys = {}
     for prefix, group, hints in (
             ("", None, typing.get_type_hints(harness.ExperimentConfig)),
             ("dnn.", "dnn", typing.get_type_hints(estimator.TrainConfig)),
             ("lasso.", "lasso", typing.get_type_hints(baselines.LassoConfig)),
-            ("gen.", "generator", {p.name: p.annotation for p in gen})):
+            ("gen.", "generator", {name: gen[name] for name in datagen.GENERATOR_OPTIONS})):
         keys.update((prefix + name, (group, name, tp)) for name, tp in hints.items()
                     if tp is not dict)
     del keys["dnn.family"]  # the method name picks the family
@@ -134,8 +133,8 @@ def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
 
 
 def cmd_generate(args) -> int:
-    spec = datagen.make_setting(args.setting, seed=args.seed,
-                                noise_sd=args.noise_sd, p=args.p)
+    spec = _checked(datagen.SettingSpec, setting=args.setting, seed=args.seed,
+                    noise_sd=args.noise_sd, p=args.p)
     splits = _split_sizes(args.n, args.splits)
     ds = datagen.generate_dataset(spec, args.n, splits)
     datagen.save_dataset(ds, args.out, csv=args.csv)
@@ -254,8 +253,8 @@ def cmd_report(args) -> int:
     reps = harness.load_replicates(args.dir)
     if not reps:
         raise CdgmError(f"no replicate artifacts under {args.dir}")
-    path = harness.write_report(cfg, reps, args.dir)
-    print(f"wrote {path}")
+    harness.write_report(cfg, reps, args.dir)
+    print(f"wrote {Path(args.dir) / 'report.csv'}")
     return 0
 
 
@@ -269,8 +268,9 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--splits", default=None, help="train,val,test sizes")
-    g.add_argument("--noise-sd", type=float, default=1.0, dest="noise_sd")
-    g.add_argument("--p", type=int, default=None, help="node-count override")
+    g.add_argument("--noise-sd", type=float, default=datagen.SettingSpec.noise_sd,
+                   dest="noise_sd")
+    g.add_argument("--p", type=int, help="node-count override")
     g.add_argument("--csv", action="store_true")
     g.set_defaults(fn=cmd_generate)
 

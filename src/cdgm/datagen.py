@@ -20,7 +20,7 @@ transposed whenever ``transpose_coeffs`` is set, as the SEM reads it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -318,22 +318,76 @@ def sem_simulate(a_weighted, family: str = "linear", coeffs=None,
 
 @dataclass(frozen=True)
 class SettingSpec:
-    """All constants needed to regenerate ground truth for one setting."""
+    """One setting's generator options and the constants they fix.
+
+    The fields after ``setting`` and ``seed``, up to ``transpose_coeffs``,
+    are the generator options (the ``gen.*`` config keys). ``None`` takes
+    the canonical dimension: ``p`` 50 (90 for G2/N2), ``block_size``
+    ``p // 3``. Candidate precision entries default to diag 1.0 /
+    off-diagonal 0.45 and SEM noise to unit variance: the scales at which
+    the trained estimator reproduces the reference recovery levels. Every
+    option is range-checked for every setting, whether the setting reads
+    it or not; the candidate matrices, RBF parameters and Hermite
+    coefficients are then drawn from ``SeededRng(seed, 0)``.
+    """
 
     setting: str
-    p: int
-    q: int
-    seed: int
+    seed: int = 0
+    p: int | None = None
     diag_value: float = 1.0
     offdiag_value: float = 0.45
-    block_size: int = 30
+    block_size: int | None = None
     rbf_terms: int = 10
     noise_sd: float = 1.0
     transpose_coeffs: bool = False
     # materialized constants
-    candidates: tuple = field(default=(), repr=False)
-    rbf_params: tuple | None = field(default=None, repr=False)
-    hermite_coeffs: np.ndarray | None = field(default=None, repr=False)
+    q: int = field(init=False)
+    candidates: tuple = field(init=False, repr=False)
+    rbf_params: tuple | None = field(init=False, repr=False)
+    hermite_coeffs: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.setting not in SETTING_IDS:
+            raise ShapeMismatch(f"unknown setting {self.setting!r}")
+        wide = self.setting in ("G2", "N2")
+        p = (90 if wide else 50) if self.p is None else self.p
+        block_size = p // 3 if self.block_size is None else self.block_size
+        if self.seed < 0:
+            raise ShapeMismatch("seed must be >= 0")
+        if p < 4:
+            raise ShapeMismatch("p must be >= 4")
+        if not 1 <= block_size <= p // 3:
+            raise ShapeMismatch(f"block_size must be in [1, p // 3 = {p // 3}]")
+        if self.rbf_terms < 1:
+            raise ShapeMismatch("rbf_terms must be >= 1")
+        if not 0 < self.diag_value < np.inf:
+            raise ShapeMismatch("diag_value must be finite and > 0")
+        if not 0 < abs(self.offdiag_value) < np.inf:
+            raise ShapeMismatch("offdiag_value must be finite and nonzero")
+        if not 0 < self.noise_sd < np.inf:
+            raise ShapeMismatch("noise_sd must be finite and > 0")
+
+        q = 10 if wide else 2
+        setup = SeededRng(self.seed, stream=0)
+        rbf_params = hermite_coeffs = None
+        if self.mechanism == "dag":
+            candidates = (random_tree_dag(p, setup), random_tree_dag(p, setup))
+            if self.setting == "D2":
+                hermite_coeffs = setup.generator.uniform(0.1, 0.5, (p, p, 3))
+        elif wide:
+            candidates = tuple(block_precision(p, l, block_size, self.diag_value,
+                                               self.offdiag_value) for l in (1, 2, 3))
+            gen = setup.generator
+            rbf_params = (gen.uniform(-10.0, 10.0, self.rbf_terms),  # alphas
+                          gen.uniform(0.1, 0.5, self.rbf_terms),  # betas
+                          gen.uniform(-1.0, 1.0, (self.rbf_terms, q)))  # centers
+        else:
+            candidates = tuple(banded_precision(p, l, self.diag_value, self.offdiag_value)
+                               for l in (1, 2, 3))
+        for name, value in (("p", p), ("q", q), ("block_size", block_size),
+                            ("candidates", candidates), ("rbf_params", rbf_params),
+                            ("hermite_coeffs", hermite_coeffs)):
+            object.__setattr__(self, name, value)  # frozen: resolved once, here
 
     @property
     def mechanism(self) -> str:
@@ -344,60 +398,10 @@ class SettingSpec:
         return {"N1": "sin", "N2": "square-sign"}.get(self.setting)
 
 
-def make_setting(setting: str, seed: int = 0, *, p: int | None = None,
-                 diag_value: float = 1.0, offdiag_value: float = 0.45,
-                 block_size: int | None = None, rbf_terms: int = 10,
-                 noise_sd: float = 1.0, transpose_coeffs: bool = False) -> SettingSpec:
-    """Materialize a setting's constants (candidate matrices, RBF, trees).
-
-    Dimensions default to the canonical ones (p=50 q=2 for G1/N1/D1/D2,
-    p=90 q=10 for G2/N2); ``p`` may be overridden for desk-scale runs.
-    Candidate precision entries default to diag 1.0 / off-diagonal 0.45
-    and SEM noise to unit variance: the scales at which the trained
-    estimator reproduces the reference recovery levels.
-    """
-    if setting not in SETTING_IDS:
-        raise ValueError(f"unknown setting {setting!r}")
-    family = setting[0]
-    wide = setting in ("G2", "N2")
-    p = p if p is not None else (90 if wide else 50)
-    q = 10 if wide else 2
-    setup = SeededRng(seed, stream=0)
-
-    rbf_params = None
-    hermite_coeffs = None
-    if family in ("G", "N"):
-        if wide:
-            block_size = block_size if block_size is not None else p // 3
-            candidates = tuple(
-                block_precision(p, l, block_size, diag_value, offdiag_value)
-                for l in (1, 2, 3)
-            )
-            gen = setup.generator
-            alphas = gen.uniform(-10.0, 10.0, rbf_terms)
-            betas = gen.uniform(0.1, 0.5, rbf_terms)
-            centers = gen.uniform(-1.0, 1.0, (rbf_terms, q))
-            rbf_params = (alphas, betas, centers)
-        else:
-            block_size = block_size if block_size is not None else p // 3
-            candidates = tuple(
-                banded_precision(p, l, diag_value, offdiag_value) for l in (1, 2, 3)
-            )
-    else:
-        block_size = block_size if block_size is not None else p // 3
-        b1 = random_tree_dag(p, setup)
-        b2 = random_tree_dag(p, setup)
-        candidates = (b1, b2)
-        if setting == "D2":
-            hermite_coeffs = setup.generator.uniform(0.1, 0.5, (p, p, 3))
-
-    return SettingSpec(
-        setting=setting, p=p, q=q, seed=seed,
-        diag_value=diag_value, offdiag_value=offdiag_value,
-        block_size=block_size, rbf_terms=rbf_terms, noise_sd=noise_sd,
-        transpose_coeffs=transpose_coeffs, candidates=candidates,
-        rbf_params=rbf_params, hermite_coeffs=hermite_coeffs,
-    )
+# The generator options: the fields SettingSpec takes after setting and seed.
+GENERATOR_OPTIONS = tuple(f.name for f in fields(SettingSpec) if f.init)[2:]
+# Materializes a setting: ``make_setting("G2", seed=3, block_size=20)``.
+make_setting = SettingSpec
 
 
 def covariate_to_weights(spec: SettingSpec, Z):
@@ -613,15 +617,8 @@ def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
         "q": spec.q,
         "seed": ds.seed,
         "splits": {"train": ds.splits[0], "val": ds.splits[1], "test": ds.splits[2]},
-        "generator": {
-            "setting_seed": spec.seed,
-            "diag_value": spec.diag_value,
-            "offdiag_value": spec.offdiag_value,
-            "block_size": spec.block_size,
-            "rbf_terms": spec.rbf_terms,
-            "noise_sd": spec.noise_sd,
-            "transpose_coeffs": spec.transpose_coeffs,
-        },
+        "generator": {"setting_seed": spec.seed,
+                      **{k: getattr(spec, k) for k in GENERATOR_OPTIONS if k != "p"}},
         "resample_count": ds.resample_count,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -643,13 +640,9 @@ def _read_f64(path: Path, n: int, cols: int) -> np.ndarray:
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
-    g = meta["generator"]
-    spec = make_setting(
-        meta["setting"], seed=g["setting_seed"], p=meta["p"],
-        diag_value=g["diag_value"], offdiag_value=g["offdiag_value"],
-        block_size=g["block_size"], rbf_terms=g["rbf_terms"],
-        noise_sd=g["noise_sd"], transpose_coeffs=g["transpose_coeffs"],
-    )
+    options = dict(meta["generator"])
+    spec = SettingSpec(meta["setting"], seed=options.pop("setting_seed"), p=meta["p"],
+                       **options)
     n, p, q = meta["n"], meta["p"], meta["q"]
     X = _read_f64(src / "X.f64", n, p)
     Z = _read_f64(src / "Z.f64", n, q)

@@ -106,8 +106,8 @@ def write_histogram(counts, edges, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def magnitude_histogram(graphs, bins: int = 50, normalized: bool = True):
-    """Pooled histogram of off-diagonal magnitudes across graphs.
+def magnitude_histogram(graphs, bins: int = 50):
+    """Pooled histogram of off-diagonal magnitudes across normalized graphs.
 
     Emitted so a thresholding level can be picked where the histogram
     shows a gap; no automatic gap detection is attempted.
@@ -117,10 +117,10 @@ def magnitude_histogram(graphs, bins: int = 50, normalized: bool = True):
         graphs = graphs[None]
     values = []
     for g in graphs:
-        a = np.abs(normalize_if_nonzero(g) if normalized else g)
+        a = np.abs(normalize_if_nonzero(g))
         p = a.shape[0]
         mask = ~np.eye(p, dtype=bool)
         values.append(a[mask])
     pooled = np.concatenate(values)
-    counts, edges = np.histogram(pooled, bins=bins, range=(0.0, 1.0) if normalized else None)
+    counts, edges = np.histogram(pooled, bins=bins, range=(0.0, 1.0))
     return counts, edges

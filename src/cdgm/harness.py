@@ -206,8 +206,6 @@ def run_replicate(cfg: ExperimentConfig, index: int) -> dict:
         except Exception as exc:  # record the failure, keep the run going
             res = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
         res["runtime_s"] = time.perf_counter() - t0
-        if "per_sample" in res:
-            res["per_sample"] = {k: list(map(float, v)) for k, v in res["per_sample"].items()}
         out["methods"][method] = res
     return out
 
@@ -218,19 +216,22 @@ def _fmt(value) -> str:
     return f"{value:.10g}"
 
 
-def write_report(cfg: ExperimentConfig, replicate_results: list[dict], out_dir) -> Path:
+def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
+                 out_dir) -> dict[str, metrics.MetricsReport]:
     """Per-replicate report rows plus an aggregate summary.
 
     report.csv: one row per (replicate, method, threshold) with the
     sample means of the metrics (``metrics.mean``, correctly rounded).
     summary.csv: replicate mean and standard deviation per method and
-    threshold.
+    threshold. Returns the aggregate of each method that succeeded at
+    least once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_lines = [",".join(metrics.REPORT_COLUMNS)]
     summary_lines = ["setting,method,threshold,auroc_mean,auroc_std,auprc_mean,"
                      "auprc_std,f1_mean,f1_std,ba_mean,ba_std,replicates"]
+    reports = {}
 
     for method in cfg.methods:
         ok = [r for r in replicate_results if r["methods"][method]["status"] == "ok"]
@@ -249,7 +250,8 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict], out_dir) 
                 ]))
         if not ok:
             continue
-        agg = metrics.aggregate([r["methods"][method]["per_sample"] for r in ok])
+        agg = reports[method] = metrics.aggregate([r["methods"][method]["per_sample"]
+                                                   for r in ok])
         for tau in cfg.thresholds:
             summary_lines.append(",".join([
                 cfg.setting, method, _fmt(tau),
@@ -260,10 +262,9 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict], out_dir) 
                 str(len(ok)),
             ]))
 
-    report_path = out / "report.csv"
-    report_path.write_text("\n".join(report_lines) + "\n")
+    (out / "report.csv").write_text("\n".join(report_lines) + "\n")
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
-    return report_path
+    return reports
 
 
 def _write_replicate_artifacts(out: Path, rep: dict) -> None:
@@ -308,15 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
             elif res.get("lasso_nonconverged"):
                 print(f"{where}: {res['lasso_nonconverged']} lasso fits did not converge "
                       f"within lasso.max_iter sweeps", file=sys.stderr)
-    write_report(cfg, results, out)
-
-    reports = {}
-    for method in cfg.methods:
-        ok = [r["methods"][method]["per_sample"] for r in results
-              if r["methods"][method]["status"] == "ok"]
-        if ok:
-            reports[method] = metrics.aggregate(ok)
-    return reports
+    return write_report(cfg, results, out)
 
 
 def load_config(out_dir) -> ExperimentConfig:

@@ -224,9 +224,8 @@ def mean(values) -> float:
 
 @dataclass
 class MetricsReport:
-    """Per-sample values, per-experiment means, and replicate mean/std."""
+    """Per-experiment means, and replicate mean/std."""
 
-    per_sample: dict
     per_experiment: dict
     mean: dict
     std: dict
@@ -244,9 +243,7 @@ def aggregate(replicate_samples: list[dict]) -> MetricsReport:
     if not replicate_samples:
         raise ShapeMismatch("at least one replicate required")
     names = list(replicate_samples[0].keys())
-    per_sample = {m: [np.asarray(r[m], dtype=np.float64) for r in replicate_samples]
-                  for m in names}
-    per_experiment = {m: [mean(vals) for vals in per_sample[m]] for m in names}
+    per_experiment = {m: [mean(r[m]) for r in replicate_samples] for m in names}
     means = {m: mean(per_experiment[m]) for m in names}
     std = {}
     for m in names:
@@ -256,5 +253,4 @@ def aggregate(replicate_samples: list[dict]) -> MetricsReport:
         else:
             mu = means[m]
             std[m] = math.sqrt(math.fsum((v - mu) ** 2 for v in vals) / (len(vals) - 1))
-    return MetricsReport(per_sample=per_sample, per_experiment=per_experiment,
-                         mean=means, std=std)
+    return MetricsReport(per_experiment=per_experiment, mean=means, std=std)

@@ -24,7 +24,7 @@ class SeededRng:
 
     The same pair always yields the same sequence, across runs and
     platforms. A value is single-owner while draws are in flight; create
-    child streams via :meth:`child` instead of sharing one generator.
+    another stream of the same seed instead of sharing one generator.
     """
 
     seed: int
@@ -38,10 +38,6 @@ class SeededRng:
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-    def child(self, stream: int) -> "SeededRng":
-        """Independent stream derived from the same master seed."""
-        return SeededRng(self.seed, stream)
 
 
 def cholesky(m) -> np.ndarray:

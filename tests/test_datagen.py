@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,6 +420,43 @@ def test_dataset_roundtrip(tmp_path):
     assert (tmp_path / "d" / "X.csv").exists()
     x_csv = np.loadtxt(tmp_path / "d" / "X.csv", delimiter=",")
     assert np.allclose(x_csv, ds.X)
+
+
+@pytest.mark.parametrize("setting,options", [
+    ("G1", dict(diag_value=1.3, offdiag_value=0.35)),
+    ("G2", dict(block_size=20, rbf_terms=6, diag_value=1.5, offdiag_value=0.3)),
+    ("N1", dict(p=9, transpose_coeffs=True)),
+    ("N2", dict(block_size=5, rbf_terms=3)),
+    ("D1", dict(p=11, noise_sd=0.7, transpose_coeffs=True)),
+    ("D2", dict(noise_sd=1.4, block_size=2))])
+def test_dataset_roundtrip_keeps_every_generator_option(tmp_path, setting, options):
+    spec = datagen.make_setting(setting, seed=3, **options)
+    ds = datagen.generate_dataset(spec, 40, (20, 10, 10))
+    datagen.save_dataset(ds, tmp_path / "d")
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    assert list(meta) == ["setting", "n", "p", "q", "seed", "splits", "generator",
+                          "resample_count"]
+    assert list(meta["generator"]) == ["setting_seed", "diag_value", "offdiag_value",
+                                       "block_size", "rbf_terms", "noise_sd",
+                                       "transpose_coeffs"]
+    back = datagen.load_dataset(tmp_path / "d").spec
+    for name in ("setting", "seed", "q") + datagen.GENERATOR_OPTIONS:
+        assert getattr(back, name) == getattr(spec, name), name
+    for a, b in zip(back.candidates, spec.candidates, strict=True):
+        assert np.array_equal(a, b)
+    for a, b in zip(back.rbf_params or (), spec.rbf_params or (), strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(back.hermite_coeffs, spec.hermite_coeffs)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("seed", -1), ("p", 3), ("block_size", 0), ("block_size", 17), ("rbf_terms", 0),
+    ("diag_value", 0.0), ("diag_value", np.nan), ("offdiag_value", 0.0),
+    ("offdiag_value", np.inf), ("noise_sd", -1.0), ("noise_sd", 0.0), ("noise_sd", np.nan)])
+def test_setting_spec_range_checks_options_the_setting_does_not_read(option, value):
+    # D1 reads none of these but noise_sd; every option is checked anyway
+    with pytest.raises(ShapeMismatch, match=f"^{option} must"):
+        datagen.make_setting("D1", **{"seed": 0, option: value})
 
 
 @pytest.mark.parametrize("name,cut", [("X.f64", 8), ("Z.f64", 8), ("X.f64", 3)])

@@ -88,7 +88,7 @@ def test_threshold_invariant_to_positive_rescaling_after_normalize():
 def test_magnitude_histogram_counts_offdiagonal_entries():
     w = np.zeros((3, 3))
     w[0, 1], w[1, 0] = 1.0, 0.5
-    counts, edges = graphops.magnitude_histogram(w, bins=4, normalized=True)
+    counts, edges = graphops.magnitude_histogram(w, bins=4)
     assert counts.sum() == 6  # all off-diagonal cells pooled
     assert edges[0] == 0.0 and edges[-1] == 1.0
     assert counts[-1] == 1  # the unit entry

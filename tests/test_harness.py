@@ -338,6 +338,34 @@ def test_cli_generate_bad_splits_exit_one(tmp_path, splits):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("flags,message", [(["--setting", "D1", "--noise-sd", "-2"], "noise_sd"),
+                                           (["--setting", "G1", "--p", "0"], "p must")])
+def test_cli_generate_bad_generator_flag_exit_one(tmp_path, flags, message):
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "generate", *flags, "--n", "100",
+                           "--splits", "60,20,20", "--out", str(tmp_path / "d")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("setting,line", [
+    ("G1", "gen.noise_sd = -1"), ("D1", "gen.noise_sd = 0"), ("D2", "gen.noise_sd = nan"),
+    ("G2", "gen.rbf_terms = 0"), ("G1", "gen.block_size = 0")])
+def test_cli_config_rejects_bad_generator_option_at_canonical_p(tmp_path, setting, line):
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"setting = {setting}\nn_train = 300\nn_val = 20\nn_test = 20\n"
+                        "methods = nodewise-lasso\nlasso.n_lambdas = 4\n"
+                        f"lasso.lambda_min_ratio = 0.1\nout_dir = {out}\n{line}\n")
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    option = line.split(" = ")[0].removeprefix("gen.")
+    assert proc.stderr.startswith(f"usage error: {option} must")
+    assert not out.exists()
+
+
 def test_cli_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("setting = G1\nwhatever = 3\n")

@@ -122,15 +122,6 @@ def test_sampler_error_shrinks_with_sample_size():
     assert large < small / 2.0
 
 
-def test_seeded_rng_child_streams_differ():
-    base = SeededRng(11, 0)
-    a = base.child(1).generator.standard_normal(4)
-    b = base.child(2).generator.standard_normal(4)
-    assert not np.array_equal(a, b)
-    again = SeededRng(11, 0).child(1).generator.standard_normal(4)
-    assert np.array_equal(a, again)
-
-
 # scipy's triangular solve (LAPACK trtrs) is the reference for the solves
 # that go through np.linalg.solve: the stacked form datagen uses on
 # FACTOR_CHUNK factors, and sample_from_precision. The bits may depend on

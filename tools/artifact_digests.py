@@ -3,7 +3,8 @@
 Runs the acceptance test's c12 config, small canonical-p G2 and N2
 lasso configs (the settings whose negative-weight mixes are factored one
 at a time), a pseudo-moral D2 dnn config, a small canonical-p G2 dnn
-config (4005-pair score rows), a D1 dnn and lasso config read by
+config (4005-pair score rows), a D1 dnn and lasso config and a G2
+lasso config with overridden generator options, both read by
 ``cli.parse_config_file`` (so the parser decides each value's type),
 and the benchmark workloads' configs
 (``benchmark/workloads.py``) at replicate seeds 1000 and 2001 with
@@ -61,6 +62,25 @@ gen.noise_sd = 1
 lasso.n_lambdas = 6
 lasso.lambda_min_ratio = 0.01
 """
+# Generator options away from their defaults: smaller blocks than p // 3,
+# fewer RBF terms and other candidate entries.
+GENERATOR_CONFIG = """\
+setting = G2
+seeds = 7
+n_train = 300
+n_val = 50
+n_test = 50
+methods = nodewise-lasso
+thresholds = 0.05, 0.1
+out_dir = {out_dir}
+gen.p = 30
+gen.block_size = 8
+gen.rbf_terms = 6
+gen.diag_value = 1.5
+gen.offdiag_value = 0.3
+lasso.n_lambdas = 6
+lasso.lambda_min_ratio = 0.1
+"""
 
 
 def configs(root: Path):
@@ -86,9 +106,10 @@ def configs(root: Path):
         yield run, harness.ExperimentConfig(
             setting="G2", replicates=1, seeds=(seed,), n_train=300, n_val=60, n_test=100,
             methods=("dnn",), out_dir=str(root / run), dnn=dict(epochs=2))
-    cfg_file = root / "d1-parsed.cfg"
-    cfg_file.write_text(PARSED_CONFIG.format(out_dir=root / "d1-parsed"))
-    yield "d1-parsed", cli.parse_config_file(cfg_file)
+    for run, text in (("d1-parsed", PARSED_CONFIG), ("g2-gen-parsed", GENERATOR_CONFIG)):
+        cfg_file = root / f"{run}.cfg"
+        cfg_file.write_text(text.format(out_dir=root / run))
+        yield run, cli.parse_config_file(cfg_file)
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             run = f"{name}-{seed}"
