@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graphops
 from . import metrics as metrics_mod
-from .errors import ShapeMismatch
+from .errors import CdgmError, ShapeMismatch
 
 
 @dataclass
@@ -189,15 +189,16 @@ def score_graphs(graphs, patterns, thresholds=(), rank=("auroc", "auprc")) -> di
     return {name: v.reshape(g, k, *v.shape[1:]) for name, v in res.items()}
 
 
-def best_penalty(lambdas, values, inverse) -> tuple[float | None, float, list | None]:
-    """The penalty whose per-sample values ``values[g][inverse]`` (one row
-    of per-pattern values per penalty) have the largest mean
-    (``metrics.mean``); ties go to the larger penalty. Returns (penalty,
-    mean, per-sample values)."""
-    best_lam, best_val, best_vals = None, -np.inf, None
-    for lam, distinct in zip(lambdas, values):
-        vals = distinct[inverse].tolist()
-        val = metrics_mod.mean(vals)
+def best_penalty(values, inverse) -> int:
+    """Index of the penalty whose per-sample values ``values[g][inverse]``
+    (one row of per-pattern values per penalty) have the largest mean
+    (``metrics.mean``): the first mean strictly above every earlier one, so
+    ties go to the larger penalty and a NaN mean is never picked."""
+    best, best_val = None, -np.inf
+    for g, distinct in enumerate(values):
+        val = metrics_mod.mean(distinct[inverse])
         if val > best_val:
-            best_lam, best_val, best_vals = float(lam), val, vals
-    return best_lam, best_val, best_vals
+            best, best_val = g, val
+    if best is None:
+        raise CdgmError("every penalty's mean is NaN")
+    return best

@@ -170,10 +170,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ds = datagen.load_dataset(args.data)
     model = estimator.load_model(args.model)
-    Xte, Zte = ds.part("test")
-    graphs = estimator.estimate_graphs(model, Zte)
-    truths = harness.truth_vectors(ds.spec, Zte, args.pseudo_moral)
-    per_sample = harness.evaluate_graphs(graphs, truths, args.thresholds)
+    graphs, per_sample = harness.score_test_split(model, ds, args.pseudo_moral, args.thresholds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {k: metrics.mean(v) for k, v in per_sample.items()}

@@ -404,6 +404,14 @@ GENERATOR_OPTIONS = tuple(f.name for f in fields(SettingSpec) if f.init)[2:]
 make_setting = SettingSpec
 
 
+def options_read(setting: str) -> tuple[str, ...]:
+    """The generator options that ``setting``'s data depend on."""
+    if setting.startswith("D"):
+        return ("p", "noise_sd", "transpose_coeffs")
+    wide = ("block_size", "rbf_terms") if setting in ("G2", "N2") else ()
+    return ("p", "diag_value", "offdiag_value") + wide
+
+
 def covariate_to_weights(spec: SettingSpec, Z):
     """Candidate mixing weights (n, k) and cluster labels (n,) for a stack
     of covariates (n, q).

@@ -30,10 +30,11 @@ DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
 
 
 def check_thresholds(values) -> tuple[float, ...]:
-    """Thresholds as floats, each nonnegative (not NaN), in ascending order."""
+    """Thresholds as floats: at least one, each nonnegative (not NaN), in
+    ascending order."""
     thr = tuple(float(t) for t in values)
-    if not all(t >= 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
-        raise ShapeMismatch("thresholds must be nonnegative and ascending")
+    if not thr or not all(t >= 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
+        raise ShapeMismatch("thresholds must be nonempty, nonnegative and ascending")
     return thr
 
 
@@ -70,6 +71,8 @@ class ExperimentConfig:
         if self.n_val < 0 or self.n_test < 0:
             raise ShapeMismatch("n_val and n_test must be >= 0")
         self.methods = tuple(self.methods)
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ShapeMismatch("methods must be nonempty and distinct")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ShapeMismatch(f"unknown method {m!r}")
@@ -78,8 +81,14 @@ class ExperimentConfig:
         # generated, through the same setting spec, TrainConfig, network
         # spec and LassoConfig the fits build.
         spec = datagen.make_setting(self.setting, seed=self.seeds[0], **self.generator)
+        unread = [k for k in self.generator if k not in datagen.options_read(self.setting)]
+        if unread:
+            raise ShapeMismatch(f"{self.setting} does not read gen.{unread[0]}; it reads "
+                                f"gen.{', gen.'.join(datagen.options_read(self.setting))}")
         for m in self.methods:
             if m in NETWORK_FAMILIES:
+                if self.n_val < 1 or self.n_test < 1:
+                    raise ShapeMismatch(f"{m} needs n_val and n_test >= 1")
                 estimator._network_spec(_train_config(self, self.seeds[0], NETWORK_FAMILIES[m]),
                                         spec.p, spec.q)
         baselines.LassoConfig(**self.lasso)
@@ -105,6 +114,16 @@ def truth_vectors(spec, Z, pseudo: bool) -> np.ndarray:
     return built[inverse]
 
 
+def _per_sample_lists(res, thresholds) -> dict:
+    """``metrics.score_rows`` arrays as per-sample lists: ``auroc``,
+    ``auprc``, and ``f1@τ`` and ``ba@τ`` at every threshold."""
+    out = {"auroc": res["auroc"].tolist(), "auprc": res["auprc"].tolist()}
+    for i, tau in enumerate(thresholds):
+        out[f"f1@{tau:g}"] = res["f1"][:, i].tolist()
+        out[f"ba@{tau:g}"] = res["ba"][:, i].tolist()
+    return out
+
+
 def evaluate_graphs(graphs, truths, thresholds) -> dict:
     """Per-sample metrics for covariate-specific graph estimates.
 
@@ -115,21 +134,22 @@ def evaluate_graphs(graphs, truths, thresholds) -> dict:
     """
     scores, peaks = graphops.pair_scores(graphs)
     patterns, inverse = metrics.distinct_rows(np.asarray(truths, dtype=bool))
-    res = metrics.score_rows(scores, patterns, inverse, peaks, thresholds)
-    result = {"auroc": res["auroc"].tolist(), "auprc": res["auprc"].tolist()}
-    for i, tau in enumerate(thresholds):
-        result[f"f1@{tau:g}"] = res["f1"][:, i].tolist()
-        result[f"ba@{tau:g}"] = res["ba"][:, i].tolist()
-    return result
+    return _per_sample_lists(metrics.score_rows(scores, patterns, inverse, peaks, thresholds),
+                             thresholds)
+
+
+def score_test_split(model, ds: datagen.Dataset, pseudo: bool,
+                     thresholds) -> tuple[np.ndarray, dict]:
+    """The model's test-split graphs and their per-sample metrics."""
+    Zte = ds.part("test")[1]
+    graphs = estimator.estimate_graphs(model, Zte)
+    return graphs, evaluate_graphs(graphs, truth_vectors(ds.spec, Zte, pseudo), thresholds)
 
 
 def fit_eval_dnn(cfg: ExperimentConfig, ds: datagen.Dataset, seed: int,
                  family: str) -> dict:
     model, history = estimator.train(ds, _train_config(cfg, seed, family))
-    Xte, Zte = ds.part("test")
-    graphs = estimator.estimate_graphs(model, Zte)
-    truths = truth_vectors(ds.spec, Zte, cfg.pseudo_moral)
-    per_sample = evaluate_graphs(graphs, truths, cfg.thresholds)
+    graphs, per_sample = score_test_split(model, ds, cfg.pseudo_moral, cfg.thresholds)
     hist_counts, hist_edges = graphops.magnitude_histogram(graphs)
     return {
         "per_sample": per_sample,
@@ -148,13 +168,7 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset, replicate: int = 
     truths = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
     export_paths = baselines.LassoConfig(**cfg.lasso).export_paths
 
-    per_sample = {"auroc": np.empty(len(Xtr)), "auprc": np.empty(len(Xtr))}
-    tau_keys = [f"f1@{t:g}" for t in cfg.thresholds] + [f"ba@{t:g}" for t in cfg.thresholds]
-    for k in tau_keys:
-        per_sample[k] = np.empty(len(Xtr))
-    best_lambdas = {}
-    nonconverged = 0
-
+    rows, best_lambdas, nonconverged = {}, {}, 0
     for cluster in sorted(set(labels.tolist())):
         members = np.nonzero(labels == cluster)[0]
         path = baselines.nodewise_lasso_graphs(Xtr[members], **cfg.lasso)
@@ -166,22 +180,17 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset, replicate: int = 
             baselines.write_path_csv(path, out / csv)
         # every member shares the path, so each distinct truth is scored once
         patterns, inverse = metrics.distinct_rows(truths[members])
-        ranked = baselines.score_graphs(path.graphs, patterns)
-        for metric_name in ("auroc", "auprc"):
-            best_lam, _, best_vals = baselines.best_penalty(
-                path.lambdas, ranked[metric_name], inverse)
-            per_sample[metric_name][members] = best_vals
-            best_lambdas[f"{metric_name}_cluster{cluster}"] = best_lam
-            if metric_name == "auroc":
-                auroc_graph = path.graphs[int(np.argwhere(path.lambdas == best_lam)[0][0])]
-
-        scored = baselines.score_graphs([auroc_graph], patterns, cfg.thresholds, rank=())
-        for i, tau in enumerate(cfg.thresholds):
-            per_sample[f"f1@{tau:g}"][members] = scored["f1"][0, inverse, i]
-            per_sample[f"ba@{tau:g}"][members] = scored["ba"][0, inverse, i]
+        scored = baselines.score_graphs(path.graphs, patterns, cfg.thresholds)
+        best = {name: baselines.best_penalty(scored[name], inverse) for name in ("auroc", "auprc")}
+        best["f1"] = best["ba"] = best["auroc"]  # F1/BA at the AUROC-best penalty
+        for name, values in scored.items():
+            picked = values[best[name], inverse]
+            rows.setdefault(name, np.empty((len(Xtr),) + picked.shape[1:]))[members] = picked
+        for name in ("auroc", "auprc"):
+            best_lambdas[f"{name}_cluster{cluster}"] = float(path.lambdas[best[name]])
 
     return {
-        "per_sample": {k: v.tolist() for k, v in per_sample.items()},
+        "per_sample": _per_sample_lists(rows, cfg.thresholds),
         "best_lambdas": best_lambdas,
         "lasso_nonconverged": nonconverged,
     }
@@ -221,7 +230,8 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
     """Per-replicate report rows plus an aggregate summary.
 
     report.csv: one row per (replicate, method, threshold) with the
-    sample means of the metrics (``metrics.mean``, correctly rounded).
+    sample means of the metrics (``metrics.aggregate``'s per-experiment
+    means, correctly rounded).
     summary.csv: replicate mean and standard deviation per method and
     threshold. Returns the aggregate of each method that succeeded at
     least once.
@@ -232,33 +242,25 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
     summary_lines = ["setting,method,threshold,auroc_mean,auroc_std,auprc_mean,"
                      "auprc_std,f1_mean,f1_std,ba_mean,ba_std,replicates"]
     reports = {}
+    keys = {tau: ("auroc", "auprc", f"f1@{tau:g}", f"ba@{tau:g}") for tau in cfg.thresholds}
 
     for method in cfg.methods:
         ok = [r for r in replicate_results if r["methods"][method]["status"] == "ok"]
-        for rep in replicate_results:
-            res = rep["methods"][method]
-            if res["status"] != "ok":
-                continue
-            ps = res["per_sample"]
-            au, ap = metrics.mean(ps["auroc"]), metrics.mean(ps["auprc"])
-            for tau in cfg.thresholds:
-                f1, ba = metrics.mean(ps[f"f1@{tau:g}"]), metrics.mean(ps[f"ba@{tau:g}"])
-                report_lines.append(",".join([
-                    cfg.setting, str(rep["replicate"]), method, str(cfg.n_train),
-                    _fmt(tau), _fmt(au), _fmt(ap), _fmt(f1), _fmt(ba),
-                    _fmt(res["runtime_s"]),
-                ]))
         if not ok:
             continue
         agg = reports[method] = metrics.aggregate([r["methods"][method]["per_sample"]
                                                    for r in ok])
+        for i, rep in enumerate(ok):
+            for tau in cfg.thresholds:
+                report_lines.append(",".join([
+                    cfg.setting, str(rep["replicate"]), method, str(cfg.n_train), _fmt(tau),
+                    *(_fmt(agg.per_experiment[k][i]) for k in keys[tau]),
+                    _fmt(rep["methods"][method]["runtime_s"]),
+                ]))
         for tau in cfg.thresholds:
             summary_lines.append(",".join([
                 cfg.setting, method, _fmt(tau),
-                _fmt(agg.mean["auroc"]), _fmt(agg.std["auroc"]),
-                _fmt(agg.mean["auprc"]), _fmt(agg.std["auprc"]),
-                _fmt(agg.mean[f"f1@{tau:g}"]), _fmt(agg.std[f"f1@{tau:g}"]),
-                _fmt(agg.mean[f"ba@{tau:g}"]), _fmt(agg.std[f"ba@{tau:g}"]),
+                *(_fmt(stat[k]) for k in keys[tau] for stat in (agg.mean, agg.std)),
                 str(len(ok)),
             ]))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdgm import baselines, datagen, metrics
-from cdgm.errors import ShapeMismatch
+from cdgm.errors import CdgmError, ShapeMismatch
 from cdgm.graphops import symmetric_scores
 from cdgm.numerics import SeededRng, sample_from_precision
 
@@ -119,11 +119,13 @@ def test_nodewise_independent_columns_stay_sparse():
 
 def _best_over_path(path, truths, metric):
     """Best-over-path as ``harness.fit_eval_lasso`` runs it on one cluster:
-    each distinct truth scored once per penalty, then ``best_penalty``."""
+    each distinct truth scored once per penalty, then ``best_penalty``.
+    Returns the best penalty's index and its per-sample values."""
     iu = np.triu_indices(path.graphs[0].shape[0], k=1)
     patterns, inverse = metrics.distinct_rows(np.array([t[iu] for t in truths]))
     scored = baselines.score_graphs(path.graphs, patterns, rank=(metric,))[metric]
-    return baselines.best_penalty(path.lambdas, scored, inverse)
+    best = baselines.best_penalty(scored, inverse)
+    return best, scored[best][inverse].tolist()
 
 
 def test_nodewise_recovers_banded_support():
@@ -133,10 +135,10 @@ def test_nodewise_recovers_banded_support():
     truth = np.abs(theta) > 1e-10
     np.fill_diagonal(truth, False)
     iu = np.triu_indices(8, 1)
-    lam, best, _ = _best_over_path(path, [truth], "auroc")
-    assert best > 0.99
+    best, (value,) = _best_over_path(path, [truth], "auroc")
+    assert value > 0.99
     # top-|weight| pairs align with the band at the best penalty
-    w = path.graphs[int(np.argwhere(path.lambdas == lam)[0][0])]
+    w = path.graphs[best]
     scores = symmetric_scores(w)[iu]
     top = np.argsort(-scores)[: truth[iu].sum()]
     assert truth[iu][top].mean() > 0.9
@@ -147,14 +149,19 @@ def test_best_over_path_single_and_tie_rules():
     g[0, 1] = g[1, 0] = 1.0
     truth = g.astype(bool)
     path = baselines.LassoPath(lambdas=np.array([0.5]), graphs=[g])
-    assert _best_over_path(path, [truth], "auroc") == (0.5, 1.0, [1.0])
-    # constant metric: tie resolves to the larger penalty
+    assert _best_over_path(path, [truth], "auroc") == (0, [1.0])
+    # constant metric: tie resolves to the larger penalty, the first index
     path2 = baselines.LassoPath(lambdas=np.array([0.5, 0.1]), graphs=[g, g])
-    assert _best_over_path(path2, [truth], "auroc")[0] == 0.5
+    assert _best_over_path(path2, [truth], "auroc") == (0, [1.0])
     # equal means from different per-sample values tie too; a larger later mean wins
     values = np.array([[0.75, 0.25], [0.25, 0.75], [0.5, 0.5 + 2.0 ** -51]])
-    assert baselines.best_penalty([0.5, 0.2], values[:2], [0, 1]) == (0.5, 0.5, [0.75, 0.25])
-    assert baselines.best_penalty([0.5, 0.2, 0.1], values, [0, 1])[0] == 0.1
+    assert baselines.best_penalty(values[:2], [0, 1]) == 0
+    assert baselines.best_penalty(values, [0, 1]) == 2
+    # a NaN mean is never picked, first or later; a path of NaN means has no best
+    nan = np.array([[np.nan, 1.0], [0.25, 0.25], [np.nan, 0.0]])
+    assert baselines.best_penalty(nan, [0, 1]) == 1
+    with pytest.raises(CdgmError, match="every penalty's mean is NaN"):
+        baselines.best_penalty(nan[[0, 2]], [0, 1])
 
 
 def test_best_over_path_matches_exhaustive_scan():
@@ -166,9 +173,9 @@ def test_best_over_path_matches_exhaustive_scan():
     np.fill_diagonal(truth, False)
     iu = np.triu_indices(6, 1)
     per_lambda = [metrics.auroc(symmetric_scores(w)[iu], truth[iu]) for w in path.graphs]
-    lam, best, _ = _best_over_path(path, [truth], "auroc")
-    assert best == max(per_lambda)
-    assert lam == path.lambdas[int(np.argmax(per_lambda))]
+    best, (value,) = _best_over_path(path, [truth], "auroc")
+    assert value == max(per_lambda)
+    assert best == int(np.argmax(per_lambda))
 
 
 def test_nodewise_single_graph_for_all_samples():
@@ -273,7 +280,9 @@ def test_best_over_path_per_sample_values():
     wide = band | (np.abs(datagen.banded_precision(6, 2, 1.0, 0.4)) > 1e-10)
     np.fill_diagonal(wide, False)
     truths = [band, wide, band]
-    lam, val, vals = _best_over_path(path, truths, "auprc")
+    best, vals = _best_over_path(path, truths, "auprc")
     assert len(vals) == 3 and vals[0] == vals[2]
-    assert val == metrics.mean(vals)
-    assert lam in path.lambdas
+    iu = np.triu_indices(6, k=1)
+    means = [metrics.mean([metrics.auprc(symmetric_scores(w)[iu], t[iu]) for t in truths])
+             for w in path.graphs]
+    assert metrics.mean(vals) == max(means) == means[best]

@@ -26,6 +26,11 @@ def test_experiment_config_validation():
         harness.ExperimentConfig(setting="G1", thresholds=(0.2, 0.1))
     cfg = harness.ExperimentConfig(setting="G1", replicates=2, seeds=(1, 2))
     assert cfg.thresholds == harness.DEFAULT_THRESHOLDS
+    # the lasso needs neither split; each setting takes the options it reads
+    harness.ExperimentConfig(setting="G1", n_val=0, n_test=0, methods=("nodewise-lasso",))
+    for setting in datagen.SETTING_IDS:
+        harness.ExperimentConfig(setting=setting, methods=("nodewise-lasso",), generator={
+            k: getattr(datagen.make_setting(setting), k) for k in datagen.options_read(setting)})
 
 
 def _tiny_config(tmp_path, **kw):
@@ -72,12 +77,15 @@ def test_run_experiment_deterministic_reports(tmp_path):
         strip_runtime(Path(cfg_b.out_dir) / "report.csv")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing fit
 def test_failed_method_is_recorded_not_raised(tmp_path):
-    cfg = _tiny_config(tmp_path, n_val=0)  # training requires a validation split
+    # a learning rate this large overflows the training loss
+    cfg = _tiny_config(tmp_path, dnn=dict(epochs=2, block1=(8,), block2=(6,), batch_size=64,
+                                          base_lr=1e300))
     results = harness.run_replicate(cfg, 0)
     assert results["methods"]["dnn"]["status"] == "failed"
-    assert "error" in results["methods"]["dnn"]
-    # lasso does not need the validation split and still succeeds
+    assert results["methods"]["dnn"]["error"].startswith("NonFiniteLoss")
+    # the lasso does not train and still succeeds
     assert results["methods"]["nodewise-lasso"]["status"] == "ok"
 
 
@@ -89,19 +97,22 @@ def test_lasso_scores_each_truth_once_and_counts_nonconverged(tmp_path, monkeypa
     labels = datagen.cluster_labels(spec, Ztr)
     distinct = sum(len(np.unique(truths[labels == c], axis=0)) for c in set(labels.tolist()))
 
-    # F1/BA cost: kernel rows scored at each threshold, over every call
-    scored = []
+    # one kernel call per cluster scores every penalty's graph against each
+    # distinct truth, for the rank metrics and at every threshold
+    calls = []
     score_rows = harness.metrics.score_rows
 
     def counting(scores, patterns, inverse, peaks=None, thresholds=(), *rest, **kw):
-        scored.append(len(scores) * len(thresholds))
+        calls.append((len(scores), len(thresholds)))
         return score_rows(scores, patterns, inverse, peaks, thresholds, *rest, **kw)
 
     monkeypatch.setattr(harness.metrics, "score_rows", counting)
     res = harness.run_replicate(cfg, 0)["methods"]["nodewise-lasso"]
     assert res["status"] == "ok"
     assert res["lasso_nonconverged"] == 0
-    assert sum(scored) == distinct * len(cfg.thresholds)
+    assert len(calls) == len(set(labels.tolist()))
+    assert sum(rows for rows, _ in calls) == cfg.lasso["n_lambdas"] * distinct
+    assert {tau for _, tau in calls} == {len(cfg.thresholds)}
     assert len(res["per_sample"]["f1@0.05"]) == 220
 
     capped = _tiny_config(tmp_path, methods=("nodewise-lasso",),
@@ -245,15 +256,16 @@ def _write_experiment_config(path, out_dir, *lines):
     return path
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing fit
 def test_cli_experiment_and_report(tmp_path, capsys):
     def drop_runtime(text):
         return [",".join(r.split(",")[:-1]) for r in text.strip().splitlines()]
 
     cases = [
         ((), 0),
-        # dnn fails (no validation split) while the lasso succeeds; report
+        # dnn fails (its loss overflows) while the lasso succeeds; report
         # must not read thresholds from the failed method's record
-        (("methods = dnn, nodewise-lasso", "n_val = 0"), 2),
+        (("methods = dnn, nodewise-lasso", "dnn.lr = 1e300"), 2),
         # a threshold with more digits than the report's own formatting
         (("thresholds = 0.0123456789",), 0),
     ]
@@ -282,13 +294,13 @@ def test_cli_failed_method_on_stderr_and_exit_code(tmp_path):
     out = tmp_path / "exp"
     cfg_file = _write_experiment_config(tmp_path / "exp.cfg", out, "replicates = 2",
                                         "seeds = 5, 6", "methods = dnn, nodewise-lasso",
-                                        "n_val = 0")
+                                        "dnn.lr = 1e300")
     proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
                            str(cfg_file)], capture_output=True, text=True)
     assert proc.returncode == 2
     failed = [line for line in proc.stderr.splitlines() if "dnn failed" in line]
-    assert failed == [f"replicate {i} (seed {s}): dnn failed: ShapeMismatch: "
-                      "train and validation splits must be nonempty"
+    assert failed == [f"replicate {i} (seed {s}): dnn failed: NonFiniteLoss: "
+                      "non-finite training loss at epoch 0"
                       for i, s in ((0, 5), (1, 6))]
     assert "failed in every replicate: dnn" in proc.stderr
     assert "did not converge" not in proc.stderr  # the lasso fits converged
@@ -363,6 +375,29 @@ def test_cli_config_rejects_bad_generator_option_at_canonical_p(tmp_path, settin
     assert proc.returncode == 1, proc.stderr
     option = line.split(" = ")[0].removeprefix("gen.")
     assert proc.stderr.startswith(f"usage error: {option} must")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines,message", [
+    # a method listed twice, or none, or no threshold
+    (("methods = dnn, dnn",), "methods must be nonempty and distinct"),
+    (("methods = ",), "methods must be nonempty and distinct"),
+    (("thresholds = ",), "thresholds must be nonempty"),
+    # a network method without a validation or test split
+    (("n_val = 0",), "dnn needs n_val and n_test >= 1"),
+    (("methods = reggmm, nodewise-lasso", "n_test = 0"), "reggmm needs n_val and n_test >= 1"),
+    # a generator option the setting does not read
+    (("gen.noise_sd = 1",), "G1 does not read gen.noise_sd"),
+    (("setting = G2", "gen.transpose_coeffs = true"), "G2 does not read gen.transpose_coeffs"),
+    (("setting = N1", "gen.rbf_terms = 4"), "N1 does not read gen.rbf_terms"),
+    (("setting = D1", "gen.offdiag_value = 0.3"), "D1 does not read gen.offdiag_value")])
+def test_cli_config_that_does_nothing_or_repeats_exits_one(tmp_path, lines, message):
+    out = tmp_path / "run"
+    cfg_file = _write_experiment_config(tmp_path / "bad.cfg", out, *lines)
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr
     assert not out.exists()
 
 

@@ -220,7 +220,9 @@ def test_degenerate_rows_raise_as_before(trained, fill):
         harness.evaluate_graphs(graphs, truths, THRESHOLDS)
 
 
-@pytest.mark.parametrize("setting,pseudo", [("G1", False), ("D2", True)])
+# G2 runs at its canonical p = 90: two clusters (204 and 296 samples) of
+# 4005-pair rows
+@pytest.mark.parametrize("setting,pseudo", [("G1", False), ("D2", True), ("G2", False)])
 def test_lasso_matches_per_penalty_scoring(setting, pseudo):
     spec = datagen.make_setting(setting, seed=6)
     ds = datagen.generate_dataset(spec, 500, (500, 0, 0))
@@ -242,7 +244,8 @@ def test_best_over_path_auprc_on_complete_truth():
     full = ~np.eye(6, dtype=bool)[np.triu_indices(6, 1)][None]
     lam, vals = _ref_best_over_path(path, full, "auprc")
     scored = baselines.score_graphs(path.graphs, full, rank=("auprc",))["auprc"]
-    assert baselines.best_penalty(path.lambdas, scored, [0])[::2] == (lam, vals)
+    best = baselines.best_penalty(scored, [0])
+    assert (path.lambdas[best], scored[best][[0]].tolist()) == (lam, vals)
     with pytest.raises(DegenerateLabels, match="one positive and one negative"):
         baselines.score_graphs(path.graphs, full, rank=("auroc",))
     with pytest.raises(DegenerateLabels, match="need at least one positive$"):

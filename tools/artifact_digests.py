@@ -1,4 +1,5 @@
-"""Digests of the deterministic artifacts of fixed experiment configs.
+"""Digests of the deterministic artifacts of fixed experiment configs and
+of one small ``cdgm`` command-line run.
 
 Runs the acceptance test's c12 config, small canonical-p G2 and N2
 lasso configs (the settings whose negative-weight mixes are factored one
@@ -11,8 +12,12 @@ and the benchmark workloads' configs
 whichever ``cdgm`` is importable, and prints one ``sha256  path``
 line per artifact: ``report.csv`` without its ``runtime_s`` column,
 ``summary.csv``, the histogram CSVs and the replicate JSONs without
-``runtime_s``. Two source trees write the same artifacts exactly when
-they print the same lines (the bits depend on the BLAS setup, so pin it):
+``runtime_s``. It then runs ``cdgm generate`` (a small G1 dataset),
+``train --family linear``, ``eval`` and ``baseline`` through
+``cli.main`` and prints the digests of ``eval.json``, the eval's
+``histogram.csv`` and ``baseline.json`` under ``cli/``. Two source
+trees write the same artifacts exactly when they print the same lines
+(the bits depend on the BLAS setup, so pin it):
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<old>/src python3 tools/artifact_digests.py > old.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
@@ -27,7 +32,9 @@ BLAS call's own threading alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -116,6 +123,29 @@ def configs(root: Path):
             yield run, workloads.experiment_config(name, seed, root / run)
 
 
+# One small G1 dataset through the command-line steps after generation.
+CLI_RUN = (
+    ("generate", "--setting", "G1", "--n", "600", "--p", "12", "--seed", "7",
+     "--splits", "400,100,100", "--out", "{root}/data"),
+    ("train", "--data", "{root}/data", "--out", "{root}/model", "--family", "linear",
+     "--epochs", "10", "--seed", "7"),
+    ("eval", "--data", "{root}/data", "--model", "{root}/model", "--out", "{root}/eval"),
+    ("baseline", "--data", "{root}/data", "--out", "{root}/baseline", "--n-lambdas", "6",
+     "--lambda-min-ratio", "0.01"),
+)
+CLI_ARTIFACTS = ("eval/eval.json", "eval/histogram.csv", "baseline/baseline.json")
+
+
+def run_cli(root: Path) -> None:
+    """The ``CLI_RUN`` commands in order below ``root``, their stdout dropped."""
+    for command in CLI_RUN:
+        argv = [arg.format(root=root) for arg in command]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        if rc != 0:
+            raise SystemExit(f"cdgm {command[0]} exited {rc}")
+
+
 def deterministic_bytes(path: Path) -> bytes:
     """The file's bytes with the wall-time fields removed."""
     text = path.read_text()
@@ -144,6 +174,10 @@ def main(argv=None) -> int:
             for fname in files:
                 digest = hashlib.sha256(deterministic_bytes(out / fname)).hexdigest()
                 print(f"{digest}  {name}/{fname}", flush=True)
+        run_cli(root / "cli")
+        for fname in CLI_ARTIFACTS:
+            digest = hashlib.sha256((root / "cli" / fname).read_bytes()).hexdigest()
+            print(f"{digest}  cli/{fname}", flush=True)
     return 0
 
 
