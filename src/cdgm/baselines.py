@@ -120,7 +120,7 @@ class LassoPath:
         lam = np.asarray(self.lambdas, dtype=np.float64)
         if lam.ndim != 1 or len(lam) != len(self.graphs):
             raise ShapeMismatch("one graph per penalty value required")
-        if np.any(lam <= 0) or np.any(np.diff(lam) >= 0):
+        if not (np.all(lam > 0) and np.all(np.diff(lam) < 0)):  # NaN fails both comparisons
             raise ShapeMismatch("penalties must be positive and strictly descending")
         self.lambdas = lam
 
@@ -145,6 +145,8 @@ def nodewise_lasso_graphs(x, lambdas=None, **options) -> LassoPath:
     n, p = x.shape
     if n < 2:
         raise ShapeMismatch("need more than one sample")
+    if not np.all(np.isfinite(x)):  # a NaN iterate never meets the stopping rule
+        raise ShapeMismatch("design holds NaN or inf")
     scale = np.sqrt(np.mean(x * x, axis=0))
     scale[scale == 0.0] = 1.0
     xs = x / scale

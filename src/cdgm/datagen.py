@@ -642,7 +642,11 @@ def _read_f64(path: Path, n: int, cols: int) -> np.ndarray:
     if size != n * cols * 8:
         raise ShapeMismatch(f"{path}: expected {n * cols * 8} bytes ({n}x{cols} float64), "
                             f"found {size}")
-    return np.fromfile(path, dtype="<f8").reshape(n, cols)
+    values = np.fromfile(path, dtype="<f8").reshape(n, cols)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ShapeMismatch(f"{path}: row {np.argmin(finite)} holds NaN or inf")
+    return values
 
 
 def load_dataset(in_dir) -> Dataset:

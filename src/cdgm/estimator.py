@@ -25,6 +25,7 @@ from .numerics import SeededRng, run_pair
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
 PREDICT_ROWS = 32  # samples per scatter-and-einsum pass of _predict
+VAL_ROWS = 2048  # validation samples per forward pass
 
 
 def offdiag_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,9 +154,12 @@ def _network_spec(cfg: TrainConfig, p: int, q: int) -> nn.MlpSpec:
                       output_dim=p * (p - 1), dropout=cfg.dropout)
 
 
-def predict_nodes(model: CdgmModel, z, x) -> np.ndarray:
+def predict_nodes(model: CdgmModel, z, x, head_out: np.ndarray | None = None) -> np.ndarray:
     """Predicted node vector(s): each coordinate is the coefficient-weighted
-    sum of the other coordinates; a node never contributes to itself."""
+    sum of the other coordinates; a node never contributes to itself.
+
+    ``head_out``, if given, is ``forward``'s ``out`` for the head outputs.
+    """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -163,15 +167,17 @@ def predict_nodes(model: CdgmModel, z, x) -> np.ndarray:
     X = np.atleast_2d(x)
     if X.shape[1] != model.p or Z.shape[1] != model.q or X.shape[0] != Z.shape[0]:
         raise ShapeMismatch(f"bad shapes x={x.shape}, z={z.shape} for (p={model.p}, q={model.q})")
-    xhat = _predict(nn.forward(model.spec, model.params, Z)[0], X)
+    xhat = _predict(nn.forward(model.spec, model.params, Z, out=head_out)[0], X)
     return xhat[0] if single else xhat
 
 
-def _validation_mse(model: CdgmModel, X, Z, batch: int = 2048) -> float:
+def _validation_mse(model: CdgmModel, X, Z, ws: np.ndarray) -> float:
+    """Mean squared node-prediction error; each chunk's head outputs go
+    into the leading rows of the workspace ``ws``."""
     total = 0.0
-    for lo in range(0, X.shape[0], batch):
-        hi = min(lo + batch, X.shape[0])
-        xhat = predict_nodes(model, Z[lo:hi], X[lo:hi])
+    for lo in range(0, X.shape[0], VAL_ROWS):
+        hi = min(lo + VAL_ROWS, X.shape[0])
+        xhat = predict_nodes(model, Z[lo:hi], X[lo:hi], head_out=ws[:hi - lo])
         total += float(np.sum((xhat - X[lo:hi]) ** 2))
     return total / X.shape[0]
 
@@ -197,12 +203,13 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
                           clip_norm=cfg.clip_norm, lr_step=cfg.lr_step,
                           lr_decay=cfg.lr_decay)
     model = CdgmModel(p=p, q=q, spec=spec, params=params)
-    # Per-fit gradient workspace; a short last batch uses its leading slice.
     n = Xtr.shape[0]
-    grad_buf = np.empty(p * (p - 1) * min(cfg.batch_size, n))
+    # The fit's one head workspace: a training batch's head outputs, then its
+    # gradient, and each validation chunk's head outputs, in the leading rows.
+    ws = np.empty((max(min(cfg.batch_size, n), min(Xval.shape[0], VAL_ROWS)), p * (p - 1)))
 
     history = TrainHistory()
-    best_val = _validation_mse(model, Xval, Zval)
+    best_val = _validation_mse(model, Xval, Zval, ws)
     history.init_val_loss = best_val
     best_params = params.copy()
     best_epoch = 0
@@ -215,34 +222,37 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
             idx = order[lo:lo + cfg.batch_size]
             B = len(idx)
             xb, zb = Xtr[idx], Ztr[idx]
-            out, cache = nn.forward(spec, params, zb, training=True, rng=dropout_rng)
-            resid = _predict(out, xb)
+            out, cache = nn.forward(spec, params, zb, training=True, rng=dropout_rng,
+                                    out=ws[:B])
+            resid = _predict(out, xb)  # joins both halves: out is read in full
             resid -= xb
             batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(f"non-finite training loss at epoch {epoch}", epoch=epoch)
             epoch_loss += batch_loss * B
-            # d loss / d beta_jk = (2/B) * resid_j * x_k. Row j*(p-1) + i of the
-            # (p(p-1), B) buffer holds output coordinate (j, k), k != j ascending.
+            # d loss / d beta_jk = (2/B) * resid_j * x_k, built over the head outputs
+            # just read. Row j*(p-1) + i of the (p(p-1), B) view holds output
+            # coordinate (j, k), k != j ascending.
             xT = np.ascontiguousarray(xb.T)
             rT = np.ascontiguousarray((resid * (2.0 / B)).T)
-            gT = grad_buf[:p * (p - 1) * B].reshape(p, p - 1, B)
+            gT = ws.reshape(-1)[:p * (p - 1) * B].reshape(p, p - 1, B)
             run_pair(partial(_gradient_rows, gT, xT, rT, 0, p // 2),
                      partial(_gradient_rows, gT, xT, rT, p // 2, p))
             # Handed over column-major, strides (8, 8B): backward's h_in.T @ grad_out
             # and column sums run in a layout-dependent order, so a C-ordered
             # gradient with equal values moves the last bits of the parameters.
-            grads = nn.backward(cache, gT.reshape(p * (p - 1), B).T)
-            nn.optimizer_step(params, grads, state, lr=lr)
+            nn.optimizer_step(params, nn.backward(cache, gT.reshape(p * (p - 1), B).T), state,
+                              lr=lr)
+            del cache  # not alive during the next batch's forward pass
         history.train_loss.append(epoch_loss / n)
 
-        val = _validation_mse(model, Xval, Zval)
+        val = _validation_mse(model, Xval, Zval, ws)
         if not np.isfinite(val):
             raise NonFiniteLoss(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
         history.val_loss.append(val)
         if val < best_val:
             best_val = val
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             best_epoch = epoch + 1
 
     model.params = best_params
@@ -261,10 +271,11 @@ def estimate_graphs(model: CdgmModel, Z, batch: int = 512) -> np.ndarray:
     """Per-sample graphs: entry (j, k) is the negated coefficient of node k
     in node j's regression; diagonal identically zero."""
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    chunks = []
+    graphs = np.zeros((Z.shape[0], model.p, model.p))
     for lo in range(0, Z.shape[0], batch):
-        chunks.append(-model.coefficient_matrices(Z[lo:lo + batch]))
-    return np.concatenate(chunks, axis=0)
+        _scatter(nn.forward(model.spec, model.params, Z[lo:lo + batch])[0], model.p,
+                 beta=graphs[lo:lo + batch])
+    return np.negative(graphs, out=graphs)  # the zero diagonal reads -0.0
 
 
 def save_model(model: CdgmModel, out_dir) -> None:

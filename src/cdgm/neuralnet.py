@@ -110,16 +110,24 @@ def init_params(spec: MlpSpec, rng: SeededRng) -> ParamSet:
 
 
 def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
-            rng: SeededRng | None = None):
+            rng: SeededRng | None = None, out: np.ndarray | None = None):
     """Batched forward pass; returns (outputs, cache for backward).
 
     With ``training=False`` dropout is disabled and the pass is a pure
     deterministic function of (spec, params, Z). Dropout is inverted:
     surviving activations are scaled by 1/(1-rate) at train time.
+    ``out``, if given, is a C-contiguous float64 (n, output_dim) array
+    that receives the head outputs and is returned; the head product is
+    the same GEMM call either way, so the outputs have the same bits.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != spec.input_dim:
         raise ShapeMismatch(f"expected (n, {spec.input_dim}) covariates, got {Z.shape}")
+    if out is not None and not (out.shape == (Z.shape[0], spec.output_dim)
+                                and out.dtype == np.float64 and out.flags.c_contiguous):
+        # matmul would cast into such an array, or write it outside BLAS: other bits or a copy
+        raise ShapeMismatch(f"out must be a C-contiguous float64 ({Z.shape[0]}, "
+                            f"{spec.output_dim}) array, got {out.dtype} {out.shape}")
     use_dropout = training and spec.dropout > 0.0
     if use_dropout and rng is None:
         raise ShapeMismatch("training-mode dropout requires an rng")
@@ -132,7 +140,7 @@ def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
         if li == spec.concat_layer:
             h = np.concatenate([h, Z], axis=1)
         inputs.append(h)
-        h = h @ w
+        h = np.matmul(h, w, out=out if li == n_layers - 1 else None)
         h += b
         if li == n_layers - 1:  # linear head
             relu_masks.append(None)

@@ -108,6 +108,17 @@ def test_lasso_path_validation():
         baselines.LassoPath(lambdas=np.array([0.1, 0.2]), graphs=[np.eye(2), np.eye(2)])
     with pytest.raises(ShapeMismatch):
         baselines.LassoPath(lambdas=np.array([0.2, 0.1]), graphs=[np.eye(2)])
+    for bad in ([np.nan, 0.1], [0.2, np.nan], [np.nan]):
+        with pytest.raises(ShapeMismatch):
+            baselines.LassoPath(lambdas=np.array(bad), graphs=[np.eye(2)] * len(bad))
+
+
+def test_nodewise_rejects_non_finite_design():
+    x = np.random.default_rng(8).normal(size=(60, 50))
+    for bad in (np.nan, np.inf):
+        x[17, 3] = bad
+        with pytest.raises(ShapeMismatch, match="NaN or inf"):
+            baselines.nodewise_lasso_graphs(x, n_lambdas=4, max_iter=50)
 
 
 def test_nodewise_independent_columns_stay_sparse():

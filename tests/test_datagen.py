@@ -470,6 +470,18 @@ def test_load_dataset_rejects_wrong_file_length(tmp_path, name, cut):
         datagen.load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("name,bad", [("X.f64", np.nan), ("Z.f64", -np.inf)])
+def test_load_dataset_rejects_non_finite_values(tmp_path, name, bad):
+    spec = datagen.make_setting("G1", seed=1, p=6)
+    datagen.save_dataset(datagen.generate_dataset(spec, 50, (30, 10, 10)), tmp_path / "d")
+    path = tmp_path / "d" / name
+    values = np.fromfile(path, dtype="<f8").reshape(50, -1)
+    values[[23, 41], 1] = bad
+    values.tofile(path)
+    with pytest.raises(ShapeMismatch, match=f"{name}: row 23 holds NaN or inf"):
+        datagen.load_dataset(tmp_path / "d")
+
+
 def test_transposed_coefficient_reading_runs_and_differs():
     base = datagen.make_setting("D2", seed=14, p=8)
     flipped = datagen.make_setting("D2", seed=14, p=8, transpose_coeffs=True)

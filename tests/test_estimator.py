@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,9 +131,31 @@ def test_train_snapshot_never_worse_than_initialization():
     init_model = estimator.CdgmModel(
         p=model.p, q=model.q, spec=model.spec,
         params=nn.init_params(model.spec, SeededRng(1, 0)))
-    init_val = estimator._validation_mse(init_model, Xval, Zval)
-    final_val = estimator._validation_mse(model, Xval, Zval)
+    ws = np.empty((len(Xval), model.p * (model.p - 1)))
+    init_val = estimator._validation_mse(init_model, Xval, Zval, ws)
+    final_val = estimator._validation_mse(model, Xval, Zval, ws)
     assert final_val <= init_val + 1e-12
+
+
+@pytest.mark.parametrize("setting,family,n_train,n_val", [
+    ("G1", "dnn", 1300, 250), ("G1", "linear", 1300, 250), ("D2", "dnn", 400, 120)])
+def test_train_peak_allocation_holds_one_head_block(setting, family, n_train, n_val):
+    # The benchmark workloads' split sizes at the default batch of 512. A fit
+    # holds one (rows, p(p-1)) head workspace and a few parameter-sized arrays
+    # (parameters, best snapshot, Adam moments, gradients, Adam scratch); the
+    # bound leaves half a workspace of headroom, less than one more head block.
+    spec = datagen.make_setting(setting, seed=3)
+    ds = datagen.generate_dataset(spec, n_train + n_val + 10, (n_train, n_val, 10))
+    cfg = estimator.default_train_config(setting, epochs=2, family=family, seed=1)
+    tracemalloc.start()
+    try:
+        model, _ = estimator.train(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ws_bytes = max(min(cfg.batch_size, n_train), min(n_val, 2048)) * spec.p * (spec.p - 1) * 8
+    bound = 1.5 * ws_bytes + 7 * model.spec.n_params * 8 + 4 * 2**20
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_train_linear_family_recovers_known_coefficients():

@@ -230,6 +230,23 @@ def test_cli_train_baseline_reject_bad_flags_before_reading(tmp_path, args, mess
     assert not (tmp_path / "r").exists()
 
 
+def test_cli_baseline_rejects_nan_in_data_at_load(tmp_path):
+    # A NaN design never meets the lasso's stopping rule: each of the path's
+    # fits would run all 100000 sweeps before the run failed.
+    assert cli.main(["generate", "--setting", "G1", "--n", "120", "--seed", "4",
+                     "--out", str(tmp_path / "d"), "--splits", "80,20,20"]) == 0
+    path = tmp_path / "d" / "X.f64"
+    X = np.fromfile(path, dtype="<f8").reshape(120, 50)
+    X[37, 11] = np.nan
+    X.tofile(path)
+    proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "baseline", "--data",
+                           str(tmp_path / "d"), "--out", str(tmp_path / "r")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "X.f64: row 37 holds NaN or inf" in proc.stderr
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_eval_edge_lists_match_per_graph_skeletons(g1_model, tmp_path):
     data, model = g1_model
     tau = 0.3

@@ -48,6 +48,29 @@ def test_forward_shape_mismatch():
         nn.forward(spec, nn.ParamSet(spec), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_into_out_matches_fresh_outputs_bit_for_bit(training):
+    spec = nn.MlpSpec(input_dim=2, block1=(128, 64), block2=(128,), output_dim=2450,
+                      dropout=0.3)
+    params = nn.init_params(spec, SeededRng(4, 0))
+    z = np.random.default_rng(5).normal(size=(300, 2))
+    fresh, cache = nn.forward(spec, params, z, training=training, rng=SeededRng(6, 2))
+    buf = np.full((300, 2450), np.nan)
+    out, buf_cache = nn.forward(spec, params, z, training=training, rng=SeededRng(6, 2), out=buf)
+    assert out is buf
+    assert np.array_equal(out, fresh)
+    g = np.random.default_rng(7).normal(size=fresh.shape)
+    assert np.array_equal(nn.backward(buf_cache, g), nn.backward(cache, g))
+
+
+@pytest.mark.parametrize("bad", [np.empty((4, 5)), np.empty((3, 6)), np.empty((4, 6), order="F"),
+                                 np.empty((4, 12))[:, ::2], np.empty((4, 6), dtype=np.float32)])
+def test_forward_rejects_out_it_would_copy_into(bad):
+    spec = small_spec()
+    with pytest.raises(ShapeMismatch, match="out must be"):
+        nn.forward(spec, nn.ParamSet(spec), np.zeros((4, 3)), out=bad)
+
+
 def test_dropout_mask_recomputation():
     spec = small_spec(dropout=0.3)
     params = nn.init_params(spec, SeededRng(1, 0))
