@@ -15,11 +15,7 @@ import typing
 from pathlib import Path
 
 from . import baselines, datagen, estimator, graphops, harness, metrics, theory
-from .errors import CdgmError, DomainError
-
-
-class UsageError(Exception):
-    pass
+from .errors import CdgmError, DomainError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,6 +111,14 @@ def _threshold(text: str) -> float:
     return tau
 
 
+def _integers(text: str) -> list[int]:
+    """A comma list of integers, each also writable like ``1e5``."""
+    values = [float(v) for v in text.split(",")]  # a ValueError is a usage error too
+    if not all(v.is_integer() for v in values):  # 12.5, inf and nan are not
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers")
+    return [int(v) for v in values]
+
+
 def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
     if splits_arg:
         try:
@@ -208,14 +212,12 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    ns = [int(float(v)) for v in args.n.split(",")]
-    ps = [int(v) for v in args.p.split(",")]
     print("order-level diagnostics (hidden constants set to 1); "
           "values indicate scaling, not certified bounds")
     header = f"{'n':>12} {'p':>6} {'gen_term':>12} {'rate':>12} {'rate_smooth':>12} {'depth':>6} {'width':>8}"
     print(header)
-    for n in ns:
-        for p in ps:
+    for n in args.n:
+        for p in args.p:
             inp = theory.BoundInputs(n=n, p=p, q=args.q, smoothness=args.m,
                                      strong_convexity=args.alpha, delta=args.delta,
                                      pseudo_dim=args.pseudo_dim)
@@ -302,8 +304,8 @@ def build_parser() -> _Parser:
     b.set_defaults(fn=cmd_baseline)
 
     d = sub.add_parser("bounds", help="closed-form scaling diagnostics")
-    d.add_argument("--n", default="10000", help="comma list, scientific ok")
-    d.add_argument("--p", default="50", help="comma list")
+    d.add_argument("--n", type=_integers, default="10000", help="comma list, scientific ok")
+    d.add_argument("--p", type=_integers, default="50", help="comma list")
     d.add_argument("--q", type=int, default=2)
     d.add_argument("--m", type=float, default=2.0)
     d.add_argument("--alpha", type=float, default=0.5)
@@ -322,13 +324,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (UsageError, DomainError) as exc:  # theory's inputs are the bounds arguments
         print(f"usage error: {exc}", file=sys.stderr)

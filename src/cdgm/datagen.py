@@ -656,8 +656,10 @@ def load_dataset(in_dir) -> Dataset:
     spec = SettingSpec(meta["setting"], seed=options.pop("setting_seed"), p=meta["p"],
                        **options)
     n, p, q = meta["n"], meta["p"], meta["q"]
+    splits = (meta["splits"]["train"], meta["splits"]["val"], meta["splits"]["test"])
+    if min(splits) < 0 or sum(splits) != n:
+        raise ShapeMismatch(f"{src / 'meta.json'}: splits {splits} must be >= 0 and sum to {n}")
     X = _read_f64(src / "X.f64", n, p)
     Z = _read_f64(src / "Z.f64", n, q)
-    splits = (meta["splits"]["train"], meta["splits"]["val"], meta["splits"]["test"])
     return Dataset(spec=spec, seed=meta["seed"], X=X, Z=Z, splits=splits,
                    resample_count=meta.get("resample_count", 0))

@@ -47,3 +47,7 @@ class DegenerateLabels(CdgmError):
 
 class DomainError(CdgmError):
     """A closed-form expression was evaluated outside its domain."""
+
+
+class UsageError(CdgmError):
+    """A command-line argument or setting is invalid; the command exits 1."""

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, estimator, graphops, metrics
-from .errors import CdgmError, ShapeMismatch
+from .errors import CdgmError, ShapeMismatch, UsageError
 
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 # Model family ``estimator.train`` fits for each network method.
@@ -100,18 +100,17 @@ def _train_config(cfg: ExperimentConfig, seed: int, family: str) -> estimator.Tr
                                           **{"seed": seed, **cfg.dnn})
 
 
-def truth_vectors(spec, Z, pseudo: bool) -> np.ndarray:
-    """Upper-triangle ground-truth label vectors, one row per sample.
-
-    Samples with equal ``datagen.support_keys`` have equal truth, so each
-    skeleton is built once per distinct key and gathered to its samples.
+def truth_vectors(spec, Z, pseudo: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ground truth in the form ``metrics.score_rows`` reads: one
+    upper-triangle skeleton per distinct ``datagen.support_keys`` row, in
+    key order, and the index of each sample's skeleton among them.
     """
     iu = np.triu_indices(spec.p, k=1)
-    _, inverse = metrics.distinct_rows(datagen.support_keys(spec, Z))
-    first = np.unique(inverse, return_index=True)[1]
-    built = np.array([datagen.truth_skeleton(spec, Z[i], pseudo=pseudo)[iu] for i in first],
-                     dtype=bool).reshape(len(first), len(iu[0]))
-    return built[inverse]
+    _, first, inverse = np.unique(datagen.support_keys(spec, Z), axis=0,
+                                  return_index=True, return_inverse=True)
+    patterns = np.array([datagen.truth_skeleton(spec, Z[i], pseudo=pseudo)[iu] for i in first],
+                        dtype=bool).reshape(len(first), len(iu[0]))
+    return patterns, inverse.reshape(-1)
 
 
 def _per_sample_lists(res, thresholds) -> dict:
@@ -124,18 +123,16 @@ def _per_sample_lists(res, thresholds) -> dict:
     return out
 
 
-def evaluate_graphs(graphs, truths, thresholds) -> dict:
+def evaluate_graphs(graphs, truth, thresholds) -> dict:
     """Per-sample metrics for covariate-specific graph estimates.
 
-    ``graphs``: (n, p, p) coefficient graphs; ``truths``: (n, pairs)
-    upper-triangle label rows (``truth_vectors``). Returns per-sample lists
-    for auroc/auprc plus f1/ba at every threshold on normalized graphs
-    under the AND rule, all from one ``metrics.score_rows`` call.
+    ``graphs``: (n, p, p) coefficient graphs; ``truth``: the label rows
+    and each graph's row index (``truth_vectors``). Returns per-sample
+    lists for auroc/auprc plus f1/ba at every threshold on normalized
+    graphs under the AND rule, all from one ``metrics.score_rows`` call.
     """
     scores, peaks = graphops.pair_scores(graphs)
-    patterns, inverse = metrics.distinct_rows(np.asarray(truths, dtype=bool))
-    return _per_sample_lists(metrics.score_rows(scores, patterns, inverse, peaks, thresholds),
-                             thresholds)
+    return _per_sample_lists(metrics.score_rows(scores, *truth, peaks, thresholds), thresholds)
 
 
 def score_test_split(model, ds: datagen.Dataset, pseudo: bool,
@@ -165,7 +162,7 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset, replicate: int = 
     ``lasso.export_paths`` writes one path CSV per cluster and replicate."""
     Xtr, Ztr = ds.part("train")
     labels = datagen.cluster_labels(ds.spec, Ztr)
-    truths = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
+    patterns, inverse = truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
     export_paths = baselines.LassoConfig(**cfg.lasso).export_paths
 
     rows, best_lambdas, nonconverged = {}, {}, 0
@@ -178,13 +175,13 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset, replicate: int = 
             out.mkdir(parents=True, exist_ok=True)
             csv = f"lasso_path_cluster{cluster}_{replicate:03d}.csv"
             baselines.write_path_csv(path, out / csv)
-        # every member shares the path, so each distinct truth is scored once
-        patterns, inverse = metrics.distinct_rows(truths[members])
-        scored = baselines.score_graphs(path.graphs, patterns, cfg.thresholds)
-        best = {name: baselines.best_penalty(scored[name], inverse) for name in ("auroc", "auprc")}
+        # every member shares the path, so each of its truths is scored once
+        used, local = np.unique(inverse[members], return_inverse=True)
+        scored = baselines.score_graphs(path.graphs, patterns[used], cfg.thresholds)
+        best = {name: baselines.best_penalty(scored[name], local) for name in ("auroc", "auprc")}
         best["f1"] = best["ba"] = best["auroc"]  # F1/BA at the AUROC-best penalty
         for name, values in scored.items():
-            picked = values[best[name], inverse]
+            picked = values[best[name], local]
             rows.setdefault(name, np.empty((len(Xtr),) + picked.shape[1:]))[members] = picked
         for name in ("auroc", "auprc"):
             best_lambdas[f"{name}_cluster{cluster}"] = float(path.lambdas[best[name]])
@@ -287,13 +284,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     that ran out of sweeps gets one stderr line with their count. The
     resolved config goes to ``config.json``, from which ``cdgm report``
     rebuilds the report.
-    Worker count for replicate parallelism is capped by the CDGM_THREADS
-    environment variable (default: serial).
+    Replicate worker processes are capped by the CDGM_THREADS environment
+    variable, an integer >= 1 checked before any file is written (default 1).
     """
+    threads = os.environ.get("CDGM_THREADS", "1")
+    if not threads.strip().isdecimal() or int(threads) < 1:
+        raise UsageError(f"CDGM_THREADS must be an integer >= 1, not {threads!r}")
+    workers = int(threads)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
-    workers = int(os.environ.get("CDGM_THREADS", "1"))
     if workers > 1 and cfg.replicates > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, cfg.replicates)) as pool:

@@ -72,8 +72,8 @@ def score_rows(scores, patterns, inverse, peaks=None, thresholds=(),
 
     Row i of ``scores`` (m, pairs) holds one graph's symmetric edge scores
     (``graphops.pair_scores``) and is labelled by ``patterns[inverse[i]]``,
-    one of the distinct label rows (``distinct_rows``). Returns a dict of
-    arrays: ``auroc`` and ``auprc`` (m,) for the metrics named in
+    one of the distinct label rows (``harness.truth_vectors``). Returns a
+    dict of arrays: ``auroc`` and ``auprc`` (m,) for the metrics named in
     ``rank``, and ``f1`` and ``ba`` (m, len(thresholds)) for the AND-rule
     skeletons of the rows normalised by their ``peaks``. Every value
     equals the one-row ``auroc``, ``auprc`` and ``f1_ba`` bit for bit; a
@@ -180,15 +180,6 @@ def f1_ba(predicted, truth) -> tuple[float, float]:
     res = score_rows(predicted[iu][None].astype(np.float64), truth[iu][None], [0],
                      peaks=np.ones(1), thresholds=(0.0,), rank=())
     return float(res["f1"][0, 0]), float(res["ba"][0, 0])
-
-
-def distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D array in first-seen order, and the index of
-    each row among them, so that each distinct case is scored once."""
-    rows = np.asarray(rows)
-    slot: dict[bytes, int] = {}
-    inverse = np.array([slot.setdefault(r.tobytes(), len(slot)) for r in rows], dtype=np.intp)
-    return rows[np.unique(inverse, return_index=True)[1]], inverse
 
 
 def mean(values) -> float:

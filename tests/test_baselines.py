@@ -133,7 +133,9 @@ def _best_over_path(path, truths, metric):
     each distinct truth scored once per penalty, then ``best_penalty``.
     Returns the best penalty's index and its per-sample values."""
     iu = np.triu_indices(path.graphs[0].shape[0], k=1)
-    patterns, inverse = metrics.distinct_rows(np.array([t[iu] for t in truths]))
+    patterns, inverse = np.unique(np.array([t[iu] for t in truths]), axis=0,
+                                  return_inverse=True)
+    inverse = inverse.reshape(-1)
     scored = baselines.score_graphs(path.graphs, patterns, rank=(metric,))[metric]
     best = baselines.best_penalty(scored, inverse)
     return best, scored[best][inverse].tolist()

@@ -482,6 +482,19 @@ def test_load_dataset_rejects_non_finite_values(tmp_path, name, bad):
         datagen.load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("splits", [(60, 30, 60), (-10, 70, 60)])
+def test_load_dataset_rejects_splits_that_do_not_cover_n(tmp_path, splits):
+    # 60/30/60 on 120 rows used to load with a 30-row test split
+    spec = datagen.make_setting("G1", seed=1, p=6)
+    datagen.save_dataset(datagen.generate_dataset(spec, 120, (60, 30, 30)), tmp_path / "d")
+    meta_path = tmp_path / "d" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["splits"] = dict(zip(("train", "val", "test"), splits))
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ShapeMismatch, match=r"meta.json: splits .* must be >= 0 and sum to 120"):
+        datagen.load_dataset(tmp_path / "d")
+
+
 def test_transposed_coefficient_reading_runs_and_differs():
     base = datagen.make_setting("D2", seed=14, p=8)
     flipped = datagen.make_setting("D2", seed=14, p=8, transpose_coeffs=True)

@@ -220,7 +220,8 @@ def test_grouped_truth_equals_per_sample_truth(setting, pseudo):
     Z = np.vstack([Z, _probe_covariates(spec, np.random.default_rng(7), n=20)])
     iu = np.triu_indices(spec.p, k=1)
     per_sample = np.array([datagen.truth_skeleton(spec, z, pseudo=pseudo)[iu] for z in Z])
-    assert np.array_equal(harness.truth_vectors(spec, Z, pseudo), per_sample)
+    patterns, inverse = harness.truth_vectors(spec, Z, pseudo)
+    assert np.array_equal(patterns[inverse], per_sample)
 
 
 def test_tiny_weight_leaves_its_candidate_out_of_truth():
@@ -228,6 +229,7 @@ def test_tiny_weight_leaves_its_candidate_out_of_truth():
     Z = np.array([[1e-12, 0.1], [0.3, 0.1]])
     keys = datagen.support_keys(spec, Z)
     assert keys.tolist() == [[False, True, False], [True, True, False]]
-    truths = harness.truth_vectors(spec, Z, False)
+    patterns, inverse = harness.truth_vectors(spec, Z, False)
+    truths = patterns[inverse]
     assert not np.array_equal(truths[0], truths[1])
     assert np.array_equal(truths[0], datagen.truth_skeleton(spec, Z[0])[np.triu_indices(50, 1)])

@@ -4,13 +4,14 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdgm import baselines, cli, datagen, estimator, graphops, harness
-from cdgm.errors import ShapeMismatch
+from cdgm.errors import ShapeMismatch, UsageError
 
 
 def test_experiment_config_validation():
@@ -93,7 +94,8 @@ def test_lasso_scores_each_truth_once_and_counts_nonconverged(tmp_path, monkeypa
     cfg = _tiny_config(tmp_path, methods=("nodewise-lasso",))
     spec = datagen.make_setting("G1", seed=5, p=8)
     Ztr = datagen.generate_dataset(spec, 340, (220, 60, 60)).part("train")[1]
-    truths = np.stack(harness.truth_vectors(spec, Ztr, False))
+    patterns, inverse = harness.truth_vectors(spec, Ztr, False)
+    truths = patterns[inverse]
     labels = datagen.cluster_labels(spec, Ztr)
     distinct = sum(len(np.unique(truths[labels == c], axis=0)) for c in set(labels.tolist()))
 
@@ -119,6 +121,27 @@ def test_lasso_scores_each_truth_once_and_counts_nonconverged(tmp_path, monkeypa
                           lasso=dict(n_lambdas=6, max_iter=1))
     assert harness.run_replicate(capped, 0)["methods"]["nodewise-lasso"][
         "lasso_nonconverged"] > 0
+
+
+def test_lasso_fit_builds_no_per_sample_truth_matrix():
+    # canonical p = 90 (4005 pairs): truth is one row per distinct support
+    # key plus an index, so the fit's peak stays below a bool (n_train,
+    # pairs) matrix of per-sample truth rows
+    n_train = 3000
+    spec = datagen.make_setting("G2", seed=6)
+    ds = datagen.generate_dataset(spec, n_train, (n_train, 0, 0))
+    cfg = harness.ExperimentConfig(setting="G2", seeds=(6,), n_train=n_train, n_val=0,
+                                   n_test=0, methods=("nodewise-lasso",),
+                                   lasso=dict(n_lambdas=2, lambda_min_ratio=0.5))
+    tracemalloc.start()
+    try:
+        res = harness.fit_eval_lasso(cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res["per_sample"]["auroc"]) == n_train
+    bound = n_train * spec.p * (spec.p - 1) // 2
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_evaluate_graphs_keys(tmp_path):
@@ -163,6 +186,13 @@ def test_cli_bounds_prints_table(capsys):
     out = capsys.readouterr().out
     assert "order-level" in out
     assert "1000000" in out
+
+
+@pytest.mark.parametrize("flags", [["--n", "1e4,abc"], ["--p", "x"], ["--n", "1e400"],
+                                   ["--n", "12.5"]])
+def test_cli_bounds_rejects_non_integral_lists(capsys, flags):
+    assert cli.main(["bounds", *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: argument {flags[0]}: ")
 
 
 def test_cli_train_eval_baseline_roundtrip(tmp_path, capsys):
@@ -567,6 +597,21 @@ def test_threads_env_parallel_replicates(tmp_path, monkeypatch):
 
     assert drop_runtime(tmp_path / "par" / "report.csv") == \
         drop_runtime(tmp_path / "ser" / "report.csv")
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_bad_threads_env_fails_before_any_file(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("CDGM_THREADS", threads)
+    run_dir = tmp_path / "run"
+    cfg_file = tmp_path / "x.cfg"
+    cfg_file.write_text("setting = G1\nmethods = nodewise-lasso\nn_train = 100\n"
+                        f"gen.p = 6\nout_dir = {run_dir}\n")
+    assert cli.main(["experiment", "--config", str(cfg_file)]) == 1
+    assert "CDGM_THREADS" in capsys.readouterr().err
+    assert not run_dir.exists()
+    with pytest.raises(UsageError, match="CDGM_THREADS must be an integer >= 1"):
+        harness.run_experiment(cli.parse_config_file(cfg_file))
+    assert not run_dir.exists()
 
 
 def test_parallel_replicates_after_training_in_process(tmp_path):

@@ -279,11 +279,3 @@ def test_mean_is_correctly_rounded():
         differs += math.fsum(values) / len(values) != _exact_mean(values)
     assert differs > 20  # fsum / len rounds twice and misses often
     assert math.isnan(metrics.mean([0.2, float("nan"), 0.4]))
-
-
-def test_distinct_rows_first_seen_order_and_inverse():
-    rows = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 1], [0, 0, 1], [1, 1, 1]], dtype=bool)
-    patterns, inverse = metrics.distinct_rows(rows)
-    assert np.array_equal(patterns, rows[[0, 1, 4]])
-    assert inverse.tolist() == [0, 1, 0, 1, 2]
-    assert np.array_equal(patterns[inverse], rows)

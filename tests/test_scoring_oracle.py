@@ -82,6 +82,12 @@ def _ref_skeleton(g, tau):
     return (s >= tau) & (s > 0.0)
 
 
+def _rows(truth):
+    """One label row per sample from ``harness.truth_vectors``'s pair."""
+    patterns, inverse = truth
+    return patterns[inverse]
+
+
 def _ref_evaluate_graphs(graphs, truths, thresholds):
     iu = np.triu_indices(graphs.shape[1], k=1)
     labels = [np.asarray(t, dtype=bool) for t in truths]
@@ -112,7 +118,7 @@ def _ref_lasso_scores(cfg, ds):
     """Per-sample values of ``fit_eval_lasso`` the old way, cluster by cluster."""
     Xtr, Ztr = ds.part("train")
     labels = datagen.cluster_labels(ds.spec, Ztr)
-    truths = harness.truth_vectors(ds.spec, Ztr, cfg.pseudo_moral)
+    truths = _rows(harness.truth_vectors(ds.spec, Ztr, cfg.pseudo_moral))
     iu = np.triu_indices(ds.spec.p, k=1)
     out = {k: np.empty(len(Xtr)) for k in ["auroc", "auprc"] + [
         f"{m}@{t:g}" for t in cfg.thresholds for m in ("f1", "ba")]}
@@ -172,7 +178,7 @@ def test_evaluate_graphs_matches_per_sample_scoring(trained, setting, pseudo):
     truths = moral if pseudo else full
     assert graphs.shape[1] == (90 if setting == "G2" else 50)
     _assert_same(harness.evaluate_graphs(graphs, truths, THRESHOLDS),
-                 _ref_evaluate_graphs(graphs, truths, THRESHOLDS))
+                 _ref_evaluate_graphs(graphs, _rows(truths), THRESHOLDS))
 
 
 @pytest.mark.parametrize("step", [1 / 8, 1 / 64])
@@ -185,7 +191,40 @@ def test_tie_heavy_and_all_zero_graphs(trained, step):
     tied[9][np.diag_indices(tied.shape[1])] = 9.0  # the diagonal is never scored
     thresholds = THRESHOLDS + (0.125, 0.5)  # scores sit exactly on these
     _assert_same(harness.evaluate_graphs(tied, truths, thresholds),
-                 _ref_evaluate_graphs(tied, truths, thresholds))
+                 _ref_evaluate_graphs(tied, _rows(truths), thresholds))
+
+
+def _regrouped(patterns, inverse):
+    """The same truth as (patterns, inverse) in two other forms: the
+    patterns reversed with ``inverse`` remapped, and sample 0's pattern
+    split into two equal rows, each labelling every other one of its
+    samples."""
+    k, j = len(patterns), inverse[0]
+    split = inverse.copy()
+    split[np.flatnonzero(inverse == j)[::2]] = k
+    return (patterns[::-1], k - 1 - inverse), (np.vstack([patterns, patterns[j]]), split)
+
+
+def test_values_do_not_depend_on_pattern_order_or_grouping():
+    # canonical p = 90 (4005-pair rows), tie-heavy graphs
+    spec = datagen.make_setting("G2", seed=4)
+    Z = datagen.generate_dataset(spec, 120, (120, 0, 0)).Z
+    graphs = np.round(np.random.default_rng(9).normal(size=(120, 90, 90)), 1)
+    patterns, inverse = harness.truth_vectors(spec, Z, False)
+    assert patterns.shape == (2, 4005) and np.count_nonzero(inverse == inverse[0]) >= 2
+    (rev, rev_inv), (dup, dup_inv) = _regrouped(patterns, inverse)
+    whole = harness.evaluate_graphs(graphs, (patterns, inverse), THRESHOLDS)
+    _assert_same(harness.evaluate_graphs(graphs, (rev, rev_inv), THRESHOLDS), whole)
+    _assert_same(harness.evaluate_graphs(graphs, (dup, dup_inv), THRESHOLDS), whole)
+
+    # one value per (graph, pattern): a pattern's column moves with it
+    path, j = list(graphs[:6]), inverse[0]
+    scored = baselines.score_graphs(path, patterns, THRESHOLDS)
+    for name, values in baselines.score_graphs(path, rev, THRESHOLDS).items():
+        assert _hex(values[:, ::-1].ravel()) == _hex(scored[name].ravel()), name
+    for name, values in baselines.score_graphs(path, dup, THRESHOLDS).items():
+        assert _hex(values[:, :-1].ravel()) == _hex(scored[name].ravel()), name
+        assert _hex(values[:, -1].ravel()) == _hex(scored[name][:, j].ravel()), name
 
 
 def test_blocked_rows_match_one_block(trained, monkeypatch):
@@ -200,7 +239,7 @@ def test_nan_row_gives_nan_rank_metrics(trained):
     graphs = graphs.copy()
     graphs[2, 5, 9] = np.nan
     got = harness.evaluate_graphs(graphs, truths, THRESHOLDS)
-    want = _ref_evaluate_graphs(graphs, truths, THRESHOLDS)
+    want = _ref_evaluate_graphs(graphs, _rows(truths), THRESHOLDS)
     assert math.isnan(got["auroc"][2]) and math.isnan(got["auprc"][2])
     for key in want:
         assert _hex(np.delete(got[key], 2)) == _hex(np.delete(want[key], 2)), key
@@ -211,13 +250,17 @@ def test_nan_row_gives_nan_rank_metrics(trained):
 
 @pytest.mark.parametrize("fill", [False, True])
 def test_degenerate_rows_raise_as_before(trained, fill):
-    graphs, truths, _ = trained["G1"]
-    truths = truths.copy()
-    truths[4] = fill
+    graphs, (patterns, inverse), _ = trained["G1"]
+    rows = patterns[inverse]
+    rows[4] = fill
     with pytest.raises(DegenerateLabels, match="one positive and one negative"):
-        _ref_evaluate_graphs(graphs, truths, THRESHOLDS)
+        _ref_evaluate_graphs(graphs, rows, THRESHOLDS)
+    # sample 4 gets a pattern of its own
+    patterns = np.vstack([patterns, rows[4]])
+    inverse = inverse.copy()
+    inverse[4] = len(patterns) - 1
     with pytest.raises(DegenerateLabels, match="one positive and one negative"):
-        harness.evaluate_graphs(graphs, truths, THRESHOLDS)
+        harness.evaluate_graphs(graphs, (patterns, inverse), THRESHOLDS)
 
 
 # G2 runs at its canonical p = 90: two clusters (204 and 296 samples) of
