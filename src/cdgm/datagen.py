@@ -538,9 +538,7 @@ def generate_dataset(spec: SettingSpec, n: int, splits, seed: int | None = None)
     derived from the sample index alone, so an NPN dataset equals its
     Gaussian twin pushed through the monotone map when seeds coincide.
     """
-    splits = tuple(int(s) for s in splits)
-    if sum(splits) != n:
-        raise ShapeMismatch(f"splits {splits} do not sum to n={n}")
+    splits = _checked_splits(splits, n)
     seed = spec.seed if seed is None else seed
     if spec.mechanism == "dag":
         X, Z, resample_count = _generate_dag(spec, n, seed)
@@ -548,6 +546,16 @@ def generate_dataset(spec: SettingSpec, n: int, splits, seed: int | None = None)
         X, Z, resample_count = _generate_gaussian(spec, n, seed)
     return Dataset(spec=spec, seed=seed, X=X, Z=Z, splits=splits,
                    resample_count=resample_count)
+
+
+def _checked_splits(splits, n: int, where: str = "") -> tuple[int, int, int]:
+    """The (train, val, test) sizes as ints: whole, each >= 0, summing to
+    ``n``; ``where`` prefixes the error, e.g. the file they were read from."""
+    given = tuple(splits)
+    sizes = tuple(int(s) for s in given)
+    if sizes != given or len(sizes) != 3 or min(sizes) < 0 or sum(sizes) != n:
+        raise ShapeMismatch(f"{where}splits {given} must be >= 0 and sum to {n} as integers")
+    return sizes
 
 
 def _generate_dag(spec: SettingSpec, n: int, seed: int):
@@ -656,9 +664,8 @@ def load_dataset(in_dir) -> Dataset:
     spec = SettingSpec(meta["setting"], seed=options.pop("setting_seed"), p=meta["p"],
                        **options)
     n, p, q = meta["n"], meta["p"], meta["q"]
-    splits = (meta["splits"]["train"], meta["splits"]["val"], meta["splits"]["test"])
-    if min(splits) < 0 or sum(splits) != n:
-        raise ShapeMismatch(f"{src / 'meta.json'}: splits {splits} must be >= 0 and sum to {n}")
+    splits = _checked_splits((meta["splits"][k] for k in ("train", "val", "test")), n,
+                             f"{src / 'meta.json'}: ")
     X = _read_f64(src / "X.f64", n, p)
     Z = _read_f64(src / "Z.f64", n, q)
     return Dataset(spec=spec, seed=meta["seed"], X=X, Z=Z, splits=splits,

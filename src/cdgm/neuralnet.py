@@ -20,6 +20,10 @@ from .numerics import SeededRng, run_pair
 
 PARAMS_MAGIC = "CDGM-PARAMS-1"
 ADAM_CHUNK = 65536  # optimizer entries updated per pass: 512 KiB per array
+# OpenBLAS's small-matrix kernels take products of at most 100**3 multiply-adds
+# and may sum in another order than its blocked GEMM: a head product is split
+# only when both halves are larger, so every part takes the blocked kernel.
+SPLIT_MADDS = 100 ** 3
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,9 @@ def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
     deterministic function of (spec, params, Z). Dropout is inverted:
     surviving activations are scaled by 1/(1-rate) at train time.
     ``out``, if given, is a C-contiguous float64 (n, output_dim) array
-    that receives the head outputs and is returned; the head product is
-    the same GEMM call either way, so the outputs have the same bits.
+    that receives the head outputs and is returned; otherwise a fresh one
+    does. The head runs by output columns (:func:`_by_columns`), with the
+    same bits as one ``h @ w + b``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != spec.input_dim:
@@ -140,12 +145,16 @@ def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
         if li == spec.concat_layer:
             h = np.concatenate([h, Z], axis=1)
         inputs.append(h)
-        h = np.matmul(h, w, out=out if li == n_layers - 1 else None)
-        h += b
         if li == n_layers - 1:  # linear head
+            if out is None:
+                out = np.empty((h.shape[0], spec.output_dim))
+            _by_columns(partial(_head_columns, h, w, b, out), spec.output_dim, h.size)
+            h = out
             relu_masks.append(None)
             drop_masks.append(None)
         else:
+            h = np.matmul(h, w)
+            h += b
             mask = h > 0.0
             h *= mask
             relu_masks.append(mask)
@@ -191,9 +200,13 @@ def backward(cache, grad_outputs) -> np.ndarray:
                 g *= keep
                 g /= 1.0 - spec.dropout
             g *= cache["relu_masks"][li]
-        layer_grads = partial(_layer_grads, cache["inputs"][li], g, *glayers[li])
+        h_in = cache["inputs"][li]
+        layer_grads = partial(_layer_grads, h_in, g, *glayers[li])
         if li == 0:
-            layer_grads()
+            if li == len(dims) - 1:  # the head is the whole network: split as forward does
+                _by_columns(layer_grads, g.shape[1], h_in.size)
+            else:
+                layer_grads()
             continue
         # Each product keeps its operands, shapes and layout, so its bits;
         # only the thread that computes it changes.
@@ -204,9 +217,33 @@ def backward(cache, grad_outputs) -> np.ndarray:
     return grads
 
 
-def _layer_grads(h_in, g, gw, gb):
-    np.matmul(h_in.T, g, out=gw)
-    np.sum(g, axis=0, out=gb)
+def _by_columns(work, cols, madds_per_col):
+    """Run ``work(lo, hi)`` over output columns ``0:cols``: as two halves
+    on two threads when each half is a product of more than SPLIT_MADDS
+    multiply-adds, else whole, here.
+
+    Each output column is summed from its own operand column in the same
+    order whatever columns share the call, so while every call takes the
+    blocked kernel the halves give the bits of the whole. The split sits
+    on a multiple of 64 columns, and so of every GEMM kernel's column
+    tile. Call this only from the calling thread: work already on the
+    helper thread would wait on itself.
+    """
+    mid = cols // 2 // 64 * 64
+    if mid * madds_per_col <= SPLIT_MADDS:
+        work(0, cols)
+    else:
+        run_pair(partial(work, 0, mid), partial(work, mid, cols))
+
+
+def _head_columns(h, w, b, out, lo, hi):
+    np.matmul(h, w[:, lo:hi], out=out[:, lo:hi])
+    out[:, lo:hi] += b[lo:hi]
+
+
+def _layer_grads(h_in, g, gw, gb, lo=0, hi=None):
+    np.matmul(h_in.T, g[:, lo:hi], out=gw[:, lo:hi])
+    np.sum(g[:, lo:hi], axis=0, out=gb[lo:hi])
 
 
 @dataclass

@@ -495,6 +495,16 @@ def test_load_dataset_rejects_splits_that_do_not_cover_n(tmp_path, splits):
         datagen.load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("splits", [(-10, 60, 50), (60, 30, 20), (50, 50), (60.7, 20.9, 20)])
+def test_generate_dataset_rejects_splits_that_do_not_cover_n(splits):
+    # -10/60/50 on 100 rows used to give 90 train rows and an empty val split inside them,
+    # and 60.7/20.9/20 was cut to 60/20/20
+    spec = datagen.make_setting("G1", seed=1, p=6)
+    rule = r"^splits .* must be >= 0 and sum to 100 as integers$"
+    with pytest.raises(ShapeMismatch, match=rule):
+        datagen.generate_dataset(spec, 100, splits)
+
+
 def test_transposed_coefficient_reading_runs_and_differs():
     base = datagen.make_setting("D2", seed=14, p=8)
     flipped = datagen.make_setting("D2", seed=14, p=8, transpose_coeffs=True)

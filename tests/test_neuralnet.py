@@ -63,6 +63,34 @@ def test_forward_into_out_matches_fresh_outputs_bit_for_bit(training):
     assert np.array_equal(nn.backward(buf_cache, g), nn.backward(cache, g))
 
 
+@pytest.mark.parametrize("n_out", [2450, 8010])
+@pytest.mark.parametrize("fan_in", [2, 64, 128])
+def test_head_split_by_columns_matches_whole_products_bit_for_bit(monkeypatch, fan_in, n_out):
+    # A head that is the whole network, like the linear family's: forward and
+    # backward both split it. Each result must equal one whole product.
+    spec = nn.MlpSpec(input_dim=fan_in, block1=(), block2=(), output_dim=n_out)
+    params = nn.init_params(spec, SeededRng(21, 0))
+    w, b = params.layers()[0]
+    b[...] = np.random.default_rng(22).normal(size=n_out)
+    pairs = []
+    run_pair = nn.run_pair
+    monkeypatch.setattr(nn, "run_pair", lambda *work: pairs.append(work) or run_pair(*work))
+    mid = n_out // 2 // 64 * 64
+    gen = np.random.default_rng(23)
+    for rows in [*range(1, 65), 512, 2048]:
+        split = rows * fan_in * mid > nn.SPLIT_MADDS
+        assert split or rows < 512  # the large shapes do take the split
+        pairs.clear()
+        h = gen.normal(size=(rows, fan_in))
+        out, cache = nn.forward(spec, params, h)
+        assert out.tobytes() == (np.matmul(h, w) + b).tobytes()
+        for layout in "CF":
+            g = np.asarray(gen.normal(size=out.shape), order=layout)
+            whole = np.concatenate([(h.T @ g).ravel(), g.sum(axis=0)])
+            assert nn.backward(cache, g).tobytes() == whole.tobytes()
+        assert len(pairs) == (3 if split else 0)  # below the bound: the whole product, here
+
+
 @pytest.mark.parametrize("bad", [np.empty((4, 5)), np.empty((3, 6)), np.empty((4, 6), order="F"),
                                  np.empty((4, 12))[:, ::2], np.empty((4, 6), dtype=np.float32)])
 def test_forward_rejects_out_it_would_copy_into(bad):

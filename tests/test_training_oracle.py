@@ -175,7 +175,7 @@ def _ref_train(data, cfg):
 
 def _train_both(setting, family, n_train, batch):
     spec = datagen.make_setting(setting, seed=7)
-    assert spec.p == 50
+    assert spec.p == (90 if setting == "G2" else 50)  # canonical p
     ds = datagen.generate_dataset(spec, n_train + N_VAL + N_TEST, (n_train, N_VAL, N_TEST))
     cfg = estimator.default_train_config(setting, epochs=2, batch_size=batch,
                                          base_lr=1e-3, seed=3, family=family)
@@ -229,6 +229,8 @@ def test_strided_scatter_hand_cases():
     ("G1", "dnn", 300, 100),     # train split an exact multiple of the batch
     ("G1", "dnn", 1300, 512),    # canonical batch, partial last batch of 276
     ("G1", "linear", 1300, 512),
+    ("G2", "dnn", 600, 512),     # canonical p = 90, N = 8010: every forward head product splits
+    ("G2", "linear", 600, 512),  # and every linear-head backward product too
 ])
 def test_training_workspace_edge_cases(setting, family, n_train, batch):
     _train_both(setting, family, n_train, batch)
@@ -247,17 +249,19 @@ def test_forward_backward_match_frozen_kernels(setting, family, layout):
     spec = estimator._network_spec(cfg, p=50, q=2)
     params = nn.init_params(spec, SeededRng(11, stream=0))
     gen = np.random.default_rng(12)
-    Z = gen.normal(size=(300, 2))
-    for training in (False, True):
-        out, cache = nn.forward(spec, params, Z, training=training, rng=SeededRng(13, stream=2))
-        ref_out, ref_cache = _ref_forward(spec, params, Z, training=training,
-                                          rng=SeededRng(13, stream=2))
-        assert np.array_equal(out, ref_out)
-        grad_out = np.asarray(gen.normal(size=out.shape), order=layout)
-        given = grad_out.copy(order="A")  # same layout: backward's sums depend on it
-        grads = nn.backward(cache, grad_out)
-        assert np.array_equal(grads, _ref_backward(ref_cache, given))
-        assert np.array_equal(grad_out, given)  # the caller's gradient is left alone
+    for rows in (300, 512):  # at 512 the linear head's products split by columns too
+        Z = gen.normal(size=(rows, 2))
+        for training in (False, True):
+            out, cache = nn.forward(spec, params, Z, training=training,
+                                    rng=SeededRng(13, stream=2))
+            ref_out, ref_cache = _ref_forward(spec, params, Z, training=training,
+                                              rng=SeededRng(13, stream=2))
+            assert np.array_equal(out, ref_out)
+            grad_out = np.asarray(gen.normal(size=out.shape), order=layout)
+            given = grad_out.copy(order="A")  # same layout: backward's sums depend on it
+            grads = nn.backward(cache, grad_out)
+            assert np.array_equal(grads, _ref_backward(ref_cache, given))
+            assert np.array_equal(grad_out, given)  # the caller's gradient is left alone
 
 
 @pytest.mark.parametrize("scale,clip_norm", [
