@@ -130,15 +130,15 @@ def lambda_grid(lam_max: float, n_lambdas: int,
     return lam_max * np.logspace(0.0, math.log10(min_ratio), n_lambdas)
 
 
-def nodewise_lasso_graphs(x, lambdas=None, **options) -> LassoPath:
+def nodewise_lasso_graphs(x, **options) -> LassoPath:
     """Regress each node on the rest over a shared penalty path.
 
     ``options`` are ``LassoConfig`` fields. Columns are scaled to unit
     root-mean-square internally and the coefficients are unscaled on
-    return. The grid defaults to ``n_lambdas`` log-spaced values from the
-    smallest penalty that zeroes every regression down to
-    ``lambda_min_ratio`` of it. The p fits run as one stack on the Gram
-    matrix of the scaled columns.
+    return. The grid is ``n_lambdas`` log-spaced values from the smallest
+    penalty that zeroes every regression down to ``lambda_min_ratio`` of
+    it. The p fits run as one stack on the Gram matrix of the scaled
+    columns.
     """
     opts = LassoConfig(**options)
     x = np.asarray(x, dtype=np.float64)
@@ -151,11 +151,9 @@ def nodewise_lasso_graphs(x, lambdas=None, **options) -> LassoPath:
     scale[scale == 0.0] = 1.0
     xs = x / scale
 
-    if lambdas is None:
-        lam_max = max(np.max(np.abs(xs[:, np.arange(p) != j].T @ xs[:, j])) / n
-                      for j in range(p))
-        lambdas = lambda_grid(lam_max, opts.n_lambdas, opts.lambda_min_ratio)
-    lambdas = np.asarray(lambdas, dtype=np.float64)
+    lam_max = max(np.max(np.abs(xs[:, np.arange(p) != j].T @ xs[:, j])) / n
+                  for j in range(p))
+    lambdas = lambda_grid(lam_max, opts.n_lambdas, opts.lambda_min_ratio)
 
     gram = xs.T @ xs / n
     b = np.zeros((p, p))  # column j: node j's coefficients

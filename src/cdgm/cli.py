@@ -120,25 +120,23 @@ def _integers(text: str) -> list[int]:
 
 
 def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
+    """``--splits`` under ``datagen``'s split rule, or the default splits."""
     if splits_arg:
+        where = f"--splits {splits_arg!r} (train,val,test): "
         try:
             parts = tuple(int(v) for v in splits_arg.split(","))
         except ValueError:
-            parts = ()
-        if len(parts) != 3 or min(parts) < 0:
-            raise UsageError(f"--splits {splits_arg!r}: need three nonnegative integers "
-                             "train,val,test")
-        if sum(parts) != n:
-            raise UsageError(f"--splits {splits_arg} does not sum to --n {n}")
-        return parts
+            raise UsageError(f"{where}need integers") from None
+        return _checked(datagen._checked_splits, splits=parts, n=n, where=where)
     if n <= 2000:
         raise UsageError("default splits need n > 2000; pass --splits")
     return (n - 2000, 1000, 1000)
 
 
 def cmd_generate(args) -> int:
-    spec = _checked(datagen.SettingSpec, setting=args.setting, seed=args.seed,
-                    noise_sd=args.noise_sd, p=args.p)
+    options = {k: v for k, v in (("p", args.p), ("noise_sd", args.noise_sd)) if v is not None}
+    spec = _checked(datagen.SettingSpec, setting=args.setting, seed=args.seed, **options)
+    _checked(datagen.check_options_read, setting=args.setting, options=options)
     splits = _split_sizes(args.n, args.splits)
     ds = datagen.generate_dataset(spec, args.n, splits)
     datagen.save_dataset(ds, args.out, csv=args.csv)
@@ -184,7 +182,7 @@ def cmd_eval(args) -> int:
         edge_dir = out / "edges"
         edge_dir.mkdir(exist_ok=True)
         for i, g in enumerate(graphs):
-            skel = graphops.threshold_and(graphops.normalize_if_nonzero(g), args.edge_list_tau)
+            skel = graphops.threshold_and(graphops.normalize(g), args.edge_list_tau)
             graphops.write_edge_list(skel, edge_dir / f"sample_{i:05d}.csv")
     for key in sorted(summary):
         print(f"{key}: {summary[key]:.4f}")
@@ -267,8 +265,7 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--splits", default=None, help="train,val,test sizes")
-    g.add_argument("--noise-sd", type=float, default=datagen.SettingSpec.noise_sd,
-                   dest="noise_sd")
+    g.add_argument("--noise-sd", type=float, dest="noise_sd", help="D1 and D2 only")
     g.add_argument("--p", type=int, help="node-count override")
     g.add_argument("--csv", action="store_true")
     g.set_defaults(fn=cmd_generate)
@@ -287,7 +284,7 @@ def build_parser() -> _Parser:
     e.add_argument("--model", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--pseudo-moral", action="store_true", dest="pseudo_moral")
-    e.add_argument("--thresholds", type=_thresholds, default="0.01,0.025,0.05,0.075,0.1")
+    e.add_argument("--thresholds", type=_thresholds, default=harness.DEFAULT_THRESHOLDS)
     e.add_argument("--edge-list-tau", type=_threshold, default=None, dest="edge_list_tau",
                    help="also write skeleton edge lists thresholded at this level")
     e.set_defaults(fn=cmd_eval)

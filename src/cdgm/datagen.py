@@ -94,18 +94,19 @@ def _mix(weights, candidates) -> np.ndarray:
 
 
 def rbf_eval(alphas, betas, centers, z):
-    """Sum of Gaussian bumps: sum_l alpha_l * exp(-beta_l ||z - c_l||^2).
+    """Sum of Gaussian bumps: sum_l alpha_l * exp(-beta_l ||z - c_l||^2),
+    one value per row of the covariate stack ``z`` (n, q).
 
-    ``z`` is one covariate (q,), giving a float, or a stack (n, q), giving
-    (n,). Each sample's sum is its own ``np.dot`` (BLAS sums in its own
-    order), so a stack reproduces the one-covariate values bit for bit.
+    Each sample's sum is its own ``np.dot`` (BLAS sums in its own order),
+    so a sample's value, to the bit, does not depend on which samples
+    share the stack; the G2/N2 data depend on those bits.
     """
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise ShapeMismatch(f"covariates must be a stack (n, q), got shape {z.shape}")
     alphas = np.asarray(alphas)
-    sq = np.sum((np.asarray(centers) - z[..., None, :]) ** 2, axis=-1)
+    sq = np.sum((np.asarray(centers) - z[:, None, :]) ** 2, axis=-1)
     bumps = np.exp(-np.asarray(betas) * sq)
-    if z.ndim == 1:
-        return float(np.dot(alphas, bumps))
     return np.array([np.dot(alphas, b) for b in bumps])
 
 
@@ -289,29 +290,6 @@ def sem_simulate_batch(candidates, weights, noise, family: str = "linear",
     return x
 
 
-def sem_simulate(a_weighted, family: str = "linear", coeffs=None,
-                 noise_sd: float = 1.0, rng: SeededRng | None = None,
-                 noise=None, transpose_coeffs: bool = False) -> np.ndarray:
-    """Draw one sample from a structural equation model over a DAG.
-
-    Nodes are filled in topological order: each node is a function of its
-    parents plus N(0, noise_sd^2) noise. ``family='linear'`` uses the
-    adjacency weights directly; ``family='hermite'`` expands each parent
-    value in the first three Hermite functions with per-edge coefficients
-    ``coeffs[j, k, m]`` scaled by the adjacency weight. This is the
-    one-sample case of :func:`sem_simulate_batch`.
-
-    ``noise`` overrides the random draw (useful for exact checks).
-    ``transpose_coeffs`` applies the transposed adjacency reading for the
-    Hermite scaling.
-    """
-    a = np.asarray(a_weighted, dtype=np.float64)
-    if noise is None:
-        noise = rng.generator.normal(0.0, noise_sd, size=a.shape[0])
-    return sem_simulate_batch((a,), np.ones((1, 1)), np.asarray(noise)[None], family=family,
-                              coeffs=coeffs, transpose_coeffs=transpose_coeffs)[0]
-
-
 # ---------------------------------------------------------------------------
 # settings
 
@@ -410,6 +388,14 @@ def options_read(setting: str) -> tuple[str, ...]:
         return ("p", "noise_sd", "transpose_coeffs")
     wide = ("block_size", "rbf_terms") if setting in ("G2", "N2") else ()
     return ("p", "diag_value", "offdiag_value") + wide
+
+
+def check_options_read(setting: str, options) -> None:
+    """Reject a set generator option that ``setting``'s data do not depend on."""
+    unread = [k for k in options if k not in options_read(setting)]
+    if unread:
+        raise ShapeMismatch(f"{setting} does not read gen.{unread[0]}; it reads "
+                            f"gen.{', gen.'.join(options_read(setting))}")
 
 
 def covariate_to_weights(spec: SettingSpec, Z):
@@ -527,10 +513,10 @@ def _draw_covariate(spec: SettingSpec, gen: np.random.Generator) -> np.ndarray:
     return gen.uniform(0.0, 1.0, spec.q)
 
 
-def generate_dataset(spec: SettingSpec, n: int, splits, seed: int | None = None) -> Dataset:
+def generate_dataset(spec: SettingSpec, n: int, splits) -> Dataset:
     """Generate ``n`` paired samples with per-sample RNG streams.
 
-    Sample i draws from its own stream ``SeededRng(seed, i + 1)``: the
+    Sample i draws from its own stream ``SeededRng(spec.seed, i + 1)``: the
     covariate, then the SEM noise or the Gaussian draw u. Only those draws
     run per sample; the mixing, the SEM and the factorisations run over
     all samples at once. Ground truth is regenerable from (spec,
@@ -539,12 +525,11 @@ def generate_dataset(spec: SettingSpec, n: int, splits, seed: int | None = None)
     Gaussian twin pushed through the monotone map when seeds coincide.
     """
     splits = _checked_splits(splits, n)
-    seed = spec.seed if seed is None else seed
     if spec.mechanism == "dag":
-        X, Z, resample_count = _generate_dag(spec, n, seed)
+        X, Z, resample_count = _generate_dag(spec, n)
     else:
-        X, Z, resample_count = _generate_gaussian(spec, n, seed)
-    return Dataset(spec=spec, seed=seed, X=X, Z=Z, splits=splits,
+        X, Z, resample_count = _generate_gaussian(spec, n)
+    return Dataset(spec=spec, seed=spec.seed, X=X, Z=Z, splits=splits,
                    resample_count=resample_count)
 
 
@@ -558,11 +543,11 @@ def _checked_splits(splits, n: int, where: str = "") -> tuple[int, int, int]:
     return sizes
 
 
-def _generate_dag(spec: SettingSpec, n: int, seed: int):
+def _generate_dag(spec: SettingSpec, n: int):
     Z = np.empty((n, spec.q))
     noise = np.empty((n, spec.p))
     for i in range(n):
-        gen = SeededRng(seed, stream=i + 1).generator
+        gen = SeededRng(spec.seed, stream=i + 1).generator
         Z[i] = _draw_covariate(spec, gen)
         noise[i] = gen.normal(0.0, spec.noise_sd, size=spec.p)
     weights, _ = covariate_to_weights(spec, Z)
@@ -573,7 +558,7 @@ def _generate_dag(spec: SettingSpec, n: int, seed: int):
     return X, Z, 0
 
 
-def _generate_gaussian(spec: SettingSpec, n: int, seed: int):
+def _generate_gaussian(spec: SettingSpec, n: int):
     """x = L^{-T} u with theta = L L^T, in chunks of FACTOR_CHUNK samples.
 
     A mix with a negative weight (G2/N2's middle branch) can be indefinite.
@@ -587,7 +572,7 @@ def _generate_gaussian(spec: SettingSpec, n: int, seed: int):
     X = np.empty((n, p))
     resamples = 0
     for lo in range(0, n, FACTOR_CHUNK):
-        gens = [SeededRng(seed, stream=i + 1).generator
+        gens = [SeededRng(spec.seed, stream=i + 1).generator
                 for i in range(lo, min(n, lo + FACTOR_CHUNK))]
         z = np.array([_draw_covariate(spec, gen) for gen in gens])
         weights, _ = covariate_to_weights(spec, z)

@@ -33,10 +33,6 @@ class CyclicGraph(CdgmError):
     """A matrix expected to encode a DAG contains a directed cycle."""
 
 
-class AllZeroGraph(CdgmError):
-    """Normalization requested on a graph whose entries are all zero."""
-
-
 class MarginViolated(CdgmError):
     """Threshold selection requires strong-edge floor > weak-edge ceiling."""
 

@@ -83,11 +83,6 @@ class CdgmModel:
     spec: nn.MlpSpec
     params: nn.ParamSet
 
-    def coefficient_matrices(self, Z):
-        """Per-sample (p, p) coefficient matrices with zero diagonal."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        return _scatter(nn.forward(self.spec, self.params, Z)[0], self.p)
-
 
 @dataclass
 class TrainConfig:
@@ -154,21 +149,18 @@ def _network_spec(cfg: TrainConfig, p: int, q: int) -> nn.MlpSpec:
                       output_dim=p * (p - 1), dropout=cfg.dropout)
 
 
-def predict_nodes(model: CdgmModel, z, x, head_out: np.ndarray | None = None) -> np.ndarray:
-    """Predicted node vector(s): each coordinate is the coefficient-weighted
+def predict_nodes(model: CdgmModel, Z, X, head_out: np.ndarray | None = None) -> np.ndarray:
+    """Predicted node vectors (n, p) for covariates ``Z`` (n, q) and
+    observations ``X`` (n, p): each coordinate is the coefficient-weighted
     sum of the other coordinates; a node never contributes to itself.
 
     ``head_out``, if given, is ``forward``'s ``out`` for the head outputs.
     """
-    z = np.asarray(z, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    Z = np.atleast_2d(z)
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.p or Z.shape[1] != model.q or X.shape[0] != Z.shape[0]:
-        raise ShapeMismatch(f"bad shapes x={x.shape}, z={z.shape} for (p={model.p}, q={model.q})")
-    xhat = _predict(nn.forward(model.spec, model.params, Z, out=head_out)[0], X)
-    return xhat[0] if single else xhat
+    Z = np.asarray(Z, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.p or Z.shape != (X.shape[0], model.q):
+        raise ShapeMismatch(f"bad shapes X={X.shape}, Z={Z.shape} for (p={model.p}, q={model.q})")
+    return _predict(nn.forward(model.spec, model.params, Z, out=head_out)[0], X)
 
 
 def _validation_mse(model: CdgmModel, X, Z, ws: np.ndarray) -> float:

@@ -10,26 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllZeroGraph, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 def normalize(w) -> np.ndarray:
-    """Scale so the maximum off-diagonal magnitude equals one."""
+    """Scale so the maximum off-diagonal magnitude equals one; a graph with
+    no nonzero off-diagonal entry comes back unchanged. A NaN peak still
+    divides, so a NaN graph stays NaN."""
     w = np.asarray(w, dtype=np.float64)
     off = np.abs(w).copy()
     np.fill_diagonal(off, 0.0)
     peak = off.max()
     if peak == 0.0:
-        raise AllZeroGraph("cannot normalize an all-zero graph")
+        return w
     return w / peak
-
-
-def normalize_if_nonzero(w) -> np.ndarray:
-    """``normalize(w)``, or ``w`` unchanged when it has no nonzero off-diagonal entry."""
-    try:
-        return normalize(w)
-    except AllZeroGraph:
-        return np.asarray(w, dtype=np.float64)
 
 
 def symmetric_scores(w) -> np.ndarray:
@@ -72,12 +66,12 @@ def pair_scores(graphs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normalize_pairs(scores, peaks) -> np.ndarray:
-    """Rows of ``pair_scores`` as scored on ``normalize_if_nonzero``'d graphs.
+    """Rows of ``pair_scores`` as scored on ``normalize``'d graphs.
 
     Dividing by a positive peak is monotone and |a|/p = |a/p|, so it
     commutes with the pair minimum: ``threshold_pairs`` of row i equals
-    ``threshold_and(normalize_if_nonzero(g_i), tau)`` over the pairs. A
-    zero peak leaves the row as is.
+    ``threshold_and(normalize(g_i), tau)`` over the pairs. A zero peak
+    leaves the row as is.
     """
     return scores / np.where(peaks == 0.0, 1.0, peaks)[:, None]
 
@@ -117,7 +111,7 @@ def magnitude_histogram(graphs, bins: int = 50):
         graphs = graphs[None]
     values = []
     for g in graphs:
-        a = np.abs(normalize_if_nonzero(g))
+        a = np.abs(normalize(g))
         p = a.shape[0]
         mask = ~np.eye(p, dtype=bool)
         values.append(a[mask])

@@ -81,10 +81,7 @@ class ExperimentConfig:
         # generated, through the same setting spec, TrainConfig, network
         # spec and LassoConfig the fits build.
         spec = datagen.make_setting(self.setting, seed=self.seeds[0], **self.generator)
-        unread = [k for k in self.generator if k not in datagen.options_read(self.setting)]
-        if unread:
-            raise ShapeMismatch(f"{self.setting} does not read gen.{unread[0]}; it reads "
-                                f"gen.{', gen.'.join(datagen.options_read(self.setting))}")
+        datagen.check_options_read(self.setting, self.generator)
         for m in self.methods:
             if m in NETWORK_FAMILIES:
                 if self.n_val < 1 or self.n_test < 1:

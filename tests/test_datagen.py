@@ -108,12 +108,14 @@ def test_g2_branches_from_transformed_covariate():
 
 
 def test_rbf_eval_zero_distance():
-    assert datagen.rbf_eval([1.0], [1.0], np.zeros((1, 3)), np.zeros(3)) == 1.0
+    assert datagen.rbf_eval([1.0], [1.0], np.zeros((1, 3)), np.zeros((1, 3))).tolist() == [1.0]
 
 
 def test_rbf_eval_zero_amplitudes():
-    z = np.ones(4)
-    assert datagen.rbf_eval(np.zeros(5), np.ones(5), np.zeros((5, 4)), z) == 0.0
+    z = np.ones((1, 4))
+    assert datagen.rbf_eval(np.zeros(5), np.ones(5), np.zeros((5, 4)), z).tolist() == [0.0]
+    with pytest.raises(ShapeMismatch):  # one covariate is a stack of one
+        datagen.rbf_eval(np.zeros(5), np.ones(5), np.zeros((5, 4)), z[0])
 
 
 def test_rbf_eval_matches_naive():
@@ -124,7 +126,7 @@ def test_rbf_eval_matches_naive():
     z = gen.normal(size=6)
     naive = sum(a * np.exp(-b * np.sum((z - c) ** 2))
                 for a, b, c in zip(alphas, betas, centers))
-    assert abs(datagen.rbf_eval(alphas, betas, centers, z) - naive) < 1e-12
+    assert abs(datagen.rbf_eval(alphas, betas, centers, z[None])[0] - naive) < 1e-12
 
 
 # --- monotone transforms --------------------------------------------------
@@ -190,14 +192,15 @@ def test_dag_mix_branches():
 
 
 def test_sem_linear_zero_adjacency():
-    x = datagen.sem_simulate(np.zeros((4, 4)), noise=np.zeros(4))
+    # one sample: the DAG as the only candidate, at weight one
+    x = datagen.sem_simulate_batch((np.zeros((4, 4)),), np.ones((1, 1)), np.zeros((1, 4)))[0]
     assert np.array_equal(x, np.zeros(4))
 
 
 def test_sem_linear_chain_propagates():
     a = np.zeros((2, 2))
     a[1, 0] = 0.7
-    x = datagen.sem_simulate(a, noise=np.array([1.0, 0.0]))
+    x = datagen.sem_simulate_batch((a,), np.ones((1, 1)), np.array([[1.0, 0.0]]))[0]
     assert x[0] == 1.0 and x[1] == pytest.approx(0.7)
 
 
@@ -205,7 +208,8 @@ def test_sem_hermite_matches_direct_recomputation():
     spec = datagen.make_setting("D2", seed=5, p=6)
     at = _mixed_dag(spec, [0.8, 0.6])
     noise = np.linspace(-0.5, 0.5, 6)
-    x = datagen.sem_simulate(at, family="hermite", coeffs=spec.hermite_coeffs, noise=noise)
+    x = datagen.sem_simulate_batch((at,), np.ones((1, 1)), noise[None], family="hermite",
+                                   coeffs=spec.hermite_coeffs)[0]
     order = datagen.topological_order(at)
     expect = np.zeros(6)
     for j in order:

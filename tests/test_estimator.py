@@ -41,14 +41,16 @@ def test_predict_nodes_hand_example():
     model = linear_model(2, 1)
     bias = np.array([0.5, -1.0])  # outputs with zero weights: pure bias
     model.params.layers()[0][1][...] = bias
-    xhat = estimator.predict_nodes(model, np.zeros(1), np.array([1.0, 2.0]))
-    assert np.allclose(xhat, [1.0, -1.0])
+    xhat = estimator.predict_nodes(model, np.zeros((1, 1)), np.array([[1.0, 2.0]]))
+    assert np.allclose(xhat, [[1.0, -1.0]])
+    with pytest.raises(ShapeMismatch):  # one sample is a stack of one
+        estimator.predict_nodes(model, np.zeros(1), np.array([1.0, 2.0]))
 
 
 def test_predict_nodes_zero_coefficients():
     model = linear_model(3, 2)
-    xhat = estimator.predict_nodes(model, np.ones(2), np.array([5.0, -1.0, 2.0]))
-    assert np.array_equal(xhat, np.zeros(3))
+    xhat = estimator.predict_nodes(model, np.ones((1, 2)), np.array([[5.0, -1.0, 2.0]]))
+    assert np.array_equal(xhat, np.zeros((1, 3)))
 
 
 def test_predict_nodes_excludes_own_value():
@@ -56,13 +58,13 @@ def test_predict_nodes_excludes_own_value():
     p, q = 5, 2
     model = linear_model(p, q, weights=gen.normal(size=(q, p * (p - 1))),
                          bias=gen.normal(size=p * (p - 1)))
-    z = gen.normal(size=q)
-    x = gen.normal(size=p)
+    z = gen.normal(size=(1, q))
+    x = gen.normal(size=(1, p))
     base = estimator.predict_nodes(model, z, x)
     for j in range(p):
         bumped = x.copy()
-        bumped[j] += 100.0
-        assert estimator.predict_nodes(model, z, bumped)[j] == pytest.approx(base[j])
+        bumped[0, j] += 100.0
+        assert estimator.predict_nodes(model, z, bumped)[0, j] == pytest.approx(base[0, j])
 
 
 def test_predict_nodes_permutation_equivariance():
@@ -72,7 +74,7 @@ def test_predict_nodes_permutation_equivariance():
     z = gen.normal(size=q)
     x = gen.normal(size=p)
     perm = gen.permutation(p)
-    beta = model.coefficient_matrices(z[None])[0]
+    beta = -estimator.estimate_graphs(model, z[None])[0]  # graphs are negated coefficients
     permuted_model = linear_model(p, q)
     pw, _ = permuted_model.params.layers()[0]
     jj, kk = estimator.offdiag_indices(p)
@@ -80,10 +82,10 @@ def test_predict_nodes_permutation_equivariance():
     pw[...] = 0.0
     bias = beta_perm[jj, kk]
     permuted_model.params.layers()[0][1][...] = bias
-    lhs = estimator.predict_nodes(permuted_model, np.zeros(q), x[perm])
+    lhs = estimator.predict_nodes(permuted_model, np.zeros((1, q)), x[None, perm])
     # compare against permuting the original prediction with beta fixed at z
     fixed_model = linear_model(p, q, bias=beta[jj, kk])
-    rhs = estimator.predict_nodes(fixed_model, np.zeros(q), x)[perm]
+    rhs = estimator.predict_nodes(fixed_model, np.zeros((1, q)), x[None])[:, perm]
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 

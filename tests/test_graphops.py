@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdgm import graphops
-from cdgm.errors import AllZeroGraph, ShapeMismatch
+from cdgm.errors import ShapeMismatch
 
 
 def offdiag(p, gen):
@@ -33,9 +33,15 @@ def test_normalize_preserves_ranking():
     assert np.array_equal(order_before, order_after)
 
 
-def test_normalize_all_zero_raises():
-    with pytest.raises(AllZeroGraph):
-        graphops.normalize(np.zeros((3, 3)))
+def test_normalize_all_zero_passes_through():
+    w = np.zeros((3, 3))
+    w[1, 1] = 5.0  # a diagonal entry is not a peak
+    assert np.array_equal(graphops.normalize(w), w)
+
+
+def test_normalize_nan_peak_still_divides():
+    w = np.array([[0.0, 2.0], [np.nan, 0.0]])
+    assert np.isnan(graphops.normalize(w)).all()
 
 
 def test_symmetric_scores_min():

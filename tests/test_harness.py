@@ -286,7 +286,7 @@ def test_cli_eval_edge_lists_match_per_graph_skeletons(g1_model, tmp_path):
     graphs = estimator.estimate_graphs(estimator.load_model(model), Z)
     assert len(list((tmp_path / "r" / "edges").iterdir())) == len(graphs)
     for i, g in enumerate(graphs):
-        skel = graphops.threshold_and(graphops.normalize_if_nonzero(g), tau)
+        skel = graphops.threshold_and(graphops.normalize(g), tau)
         graphops.write_edge_list(skel, tmp_path / "want.csv")
         assert (tmp_path / "r" / "edges" / f"sample_{i:05d}.csv").read_text() == \
             (tmp_path / "want.csv").read_text()
@@ -398,7 +398,9 @@ def test_cli_generate_bad_splits_exit_one(tmp_path, splits):
 
 
 @pytest.mark.parametrize("flags,message", [(["--setting", "D1", "--noise-sd", "-2"], "noise_sd"),
-                                           (["--setting", "G1", "--p", "0"], "p must")])
+                                           (["--setting", "G1", "--p", "0"], "p must"),
+                                           (["--setting", "G1", "--noise-sd", "3"],
+                                            "G1 does not read gen.noise_sd")])
 def test_cli_generate_bad_generator_flag_exit_one(tmp_path, flags, message):
     proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "generate", *flags, "--n", "100",
                            "--splits", "60,20,20", "--out", str(tmp_path / "d")],

@@ -3,7 +3,7 @@
 The references below are frozen copies of the scoring code that
 ``metrics.score_rows`` replaced: one ``auroc``/``auprc`` call per sample
 on a stable descending sort, one ``f1_ba`` call per (sample, threshold)
-on ``threshold_and(normalize_if_nonzero(g), tau)``, ``best_over_path``
+on ``threshold_and(normalize(g), tau)``, ``best_over_path``
 scoring one penalty at a time, and the lasso's per-pattern F1/BA loop.
 ``harness.evaluate_graphs``, ``baselines.best_penalty`` and
 ``harness.fit_eval_lasso`` must reproduce them bit for bit (compared

@@ -13,9 +13,11 @@ whichever ``cdgm`` is importable, and prints one ``sha256  path``
 line per artifact: ``report.csv`` without its ``runtime_s`` column,
 ``summary.csv``, the histogram CSVs and the replicate JSONs without
 ``runtime_s``. It then runs ``cdgm generate`` (a small G1 dataset),
-``train --family linear``, ``eval`` and ``baseline`` through
-``cli.main`` and prints the digests of ``eval.json``, the eval's
-``histogram.csv`` and ``baseline.json`` under ``cli/``. Two source
+``train --family linear``, ``eval --edge-list-tau`` and ``baseline
+--export-paths`` through ``cli.main`` and prints the digests of
+``eval.json``, the eval's ``histogram.csv`` and ``baseline.json``, one
+digest of the sorted edge-list files and one of the sorted path CSVs
+under ``cli/``. Two source
 trees write the same artifacts exactly when they print the same lines
 (the bits depend on the BLAS setup, so pin it):
 
@@ -129,11 +131,14 @@ CLI_RUN = (
      "--splits", "400,100,100", "--out", "{root}/data"),
     ("train", "--data", "{root}/data", "--out", "{root}/model", "--family", "linear",
      "--epochs", "10", "--seed", "7"),
-    ("eval", "--data", "{root}/data", "--model", "{root}/model", "--out", "{root}/eval"),
+    ("eval", "--data", "{root}/data", "--model", "{root}/model", "--out", "{root}/eval",
+     "--edge-list-tau", "0.05"),
     ("baseline", "--data", "{root}/data", "--out", "{root}/baseline", "--n-lambdas", "6",
-     "--lambda-min-ratio", "0.01"),
+     "--lambda-min-ratio", "0.01", "--export-paths"),
 )
 CLI_ARTIFACTS = ("eval/eval.json", "eval/histogram.csv", "baseline/baseline.json")
+# One digest per group of files: each file's name and bytes, in sorted order.
+CLI_GROUPS = ("eval/edges/*.csv", "baseline/lasso_path_*.csv")
 
 
 def run_cli(root: Path) -> None:
@@ -178,6 +183,14 @@ def main(argv=None) -> int:
         for fname in CLI_ARTIFACTS:
             digest = hashlib.sha256((root / "cli" / fname).read_bytes()).hexdigest()
             print(f"{digest}  cli/{fname}", flush=True)
+        for pattern in CLI_GROUPS:
+            files = sorted((root / "cli").glob(pattern))
+            if not files:
+                raise SystemExit(f"no cli/{pattern} files")
+            digest = hashlib.sha256()
+            for path in files:
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            print(f"{digest.hexdigest()}  cli/{pattern}", flush=True)
     return 0
 
 
