@@ -178,14 +178,14 @@ def write_path_csv(path: LassoPath, out_file) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def score_graphs(graphs, patterns, thresholds=(), rank=("auroc", "auprc")) -> dict:
+def score_graphs(graphs, patterns, thresholds=()) -> dict:
     """``metrics.score_rows`` of every graph against every label pattern:
     each array comes back shaped (graphs, patterns, ...)."""
     scores, peaks = graphops.pair_scores(graphs)
     g, k = len(scores), len(patterns)
     res = metrics_mod.score_rows(np.repeat(scores, k, axis=0), patterns,
                                  np.tile(np.arange(k), g), np.repeat(peaks, k),
-                                 thresholds, rank)
+                                 thresholds)
     return {name: v.reshape(g, k, *v.shape[1:]) for name, v in res.items()}
 
 

@@ -14,6 +14,8 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines, datagen, estimator, graphops, harness, metrics, theory
 from .errors import CdgmError, DomainError, UsageError
 
@@ -181,9 +183,12 @@ def cmd_eval(args) -> int:
     if args.edge_list_tau is not None:
         edge_dir = out / "edges"
         edge_dir.mkdir(exist_ok=True)
-        for i, g in enumerate(graphs):
-            skel = graphops.threshold_and(graphops.normalize(g), args.edge_list_tau)
-            graphops.write_edge_list(skel, edge_dir / f"sample_{i:05d}.csv")
+        # the AND-rule skeletons of the normalized graphs, as scoring builds them
+        kept = graphops.threshold_pairs(graphops.normalize_pairs(*graphops.pair_scores(graphs)),
+                                        args.edge_list_tau)
+        j, k = np.triu_indices(model.p, 1)
+        for i, row in enumerate(kept):
+            graphops.write_edge_list(j[row], k[row], edge_dir / f"sample_{i:05d}.csv")
     for key in sorted(summary):
         print(f"{key}: {summary[key]:.4f}")
     return 0
@@ -195,7 +200,7 @@ def cmd_baseline(args) -> int:
     _checked(baselines.LassoConfig, **lasso)  # before any data is read
     ds = datagen.load_dataset(args.data)
     cfg = harness.ExperimentConfig(
-        setting=ds.spec.setting, seeds=(ds.seed,), methods=("nodewise-lasso",),
+        setting=ds.spec.setting, seeds=(ds.spec.seed,), methods=("nodewise-lasso",),
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],
         pseudo_moral=args.pseudo_moral, lasso=lasso, out_dir=args.out)
     res = harness.fit_eval_lasso(cfg, ds)

@@ -237,32 +237,23 @@ def hermite_functions(x) -> np.ndarray:
     return np.stack([h1 * g, h2 * g, h3 * g], axis=-1)
 
 
-def sem_simulate_batch(candidates, weights, noise, family: str = "linear",
-                       coeffs=None, transpose_coeffs: bool = False) -> np.ndarray:
+def sem_simulate_batch(candidates, weights, noise, coeffs) -> np.ndarray:
     """Draw n samples from structural equation models over mixed DAGs.
 
     Sample i's weighted DAG is ``sum_l weights[i, l] * candidates[l]`` and
     ``noise[i]`` its noise. Nodes advance in topological order of the
     candidates' union, one step over all samples each, so every parent of
-    node j holds its final value when j is filled. ``family='linear'``
-    takes the dot product of the weighted row with the sample; the batched
-    matmul makes one BLAS dot per sample, the call a one-sample
-    ``a[j] @ x`` makes, so both give the same bits. ``family='hermite'``
-    adds ``(a * coeffs[j, k, m]) * psi_m(x_k)`` over the union parents k
-    in ascending order and m = 0, 1, 2; for a node with at most two
-    parents that is the order in which ``np.sum`` adds its six terms. A
-    parent that is not in a sample's DAG has ``a == 0`` there and adds an
-    exact zero.
-
-    ``transpose_coeffs`` applies the transposed adjacency reading.
+    node j holds its final value when j is filled. With ``coeffs`` None
+    the SEM is linear: the dot product of the weighted row with the
+    sample; the batched matmul makes one BLAS dot per sample, the call a
+    one-sample ``a[j] @ x`` makes, so both give the same bits. Otherwise
+    it is Hermite: ``(a * coeffs[j, k, m]) * psi_m(x_k)`` added over the
+    union parents k in ascending order and m = 0, 1, 2; for a node with at
+    most two parents that is the order in which ``np.sum`` adds its six
+    terms. A parent that is not in a sample's DAG has ``a == 0`` there and
+    adds an exact zero.
     """
-    if family not in ("linear", "hermite"):
-        raise ValueError(f"unknown SEM family {family!r}")
-    if family == "hermite" and coeffs is None:
-        raise ShapeMismatch("hermite family requires per-edge coefficients")
     cands = [np.asarray(c, dtype=np.float64) for c in candidates]
-    if transpose_coeffs:
-        cands = [c.T for c in cands]
     weights = np.asarray(weights, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     n, p = noise.shape
@@ -271,12 +262,12 @@ def sem_simulate_batch(candidates, weights, noise, family: str = "linear",
         union |= c != 0
 
     x = np.zeros((n, p))
-    psi = np.empty((p, n, 3)) if family == "hermite" else None
+    psi = None if coeffs is None else np.empty((p, n, 3))
     for j in topological_order(union):
         row = weights[:, 0, None] * cands[0][j]
         for l in range(1, len(cands)):
             row = row + weights[:, l, None] * cands[l][j]
-        if family == "linear":
+        if coeffs is None:
             total = np.matmul(row[:, None, :], x[:, :, None])[:, 0, 0]
         else:
             total = np.zeros(n)
@@ -482,7 +473,6 @@ class Dataset:
     """Paired observations plus split sizes and a regeneration handle."""
 
     spec: SettingSpec
-    seed: int
     X: np.ndarray
     Z: np.ndarray
     splits: tuple[int, int, int]
@@ -492,16 +482,14 @@ class Dataset:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def indices(self, part: str) -> slice:
+    def part(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Z) of the ``train``, ``val`` or ``test`` split."""
         n_train, n_val, n_test = self.splits
-        return {
+        sl = {
             "train": slice(0, n_train),
             "val": slice(n_train, n_train + n_val),
             "test": slice(n_train + n_val, n_train + n_val + n_test),
-        }[part]
-
-    def part(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        sl = self.indices(name)
+        }[name]
         return self.X[sl], self.Z[sl]
 
 
@@ -529,7 +517,7 @@ def generate_dataset(spec: SettingSpec, n: int, splits) -> Dataset:
         X, Z, resample_count = _generate_dag(spec, n)
     else:
         X, Z, resample_count = _generate_gaussian(spec, n)
-    return Dataset(spec=spec, seed=spec.seed, X=X, Z=Z, splits=splits,
+    return Dataset(spec=spec, X=X, Z=Z, splits=splits,
                    resample_count=resample_count)
 
 
@@ -551,10 +539,9 @@ def _generate_dag(spec: SettingSpec, n: int):
         Z[i] = _draw_covariate(spec, gen)
         noise[i] = gen.normal(0.0, spec.noise_sd, size=spec.p)
     weights, _ = covariate_to_weights(spec, Z)
-    X = sem_simulate_batch(spec.candidates, weights, noise,
-                           family="hermite" if spec.setting == "D2" else "linear",
-                           coeffs=spec.hermite_coeffs,
-                           transpose_coeffs=spec.transpose_coeffs)
+    # transpose_coeffs: the SEM reads each candidate transposed
+    candidates = [c.T for c in spec.candidates] if spec.transpose_coeffs else spec.candidates
+    X = sem_simulate_batch(candidates, weights, noise, spec.hermite_coeffs)
     return X, Z, 0
 
 
@@ -616,7 +603,7 @@ def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
         "n": ds.n,
         "p": spec.p,
         "q": spec.q,
-        "seed": ds.seed,
+        "seed": spec.seed,
         "splits": {"train": ds.splits[0], "val": ds.splits[1], "test": ds.splits[2]},
         "generator": {"setting_seed": spec.seed,
                       **{k: getattr(spec, k) for k in GENERATOR_OPTIONS if k != "p"}},
@@ -653,5 +640,5 @@ def load_dataset(in_dir) -> Dataset:
                              f"{src / 'meta.json'}: ")
     X = _read_f64(src / "X.f64", n, p)
     Z = _read_f64(src / "Z.f64", n, q)
-    return Dataset(spec=spec, seed=meta["seed"], X=X, Z=Z, splits=splits,
+    return Dataset(spec=spec, X=X, Z=Z, splits=splits,
                    resample_count=meta.get("resample_count", 0))

@@ -22,11 +22,7 @@ class NonFiniteGradient(CdgmError):
 
 
 class NonFiniteLoss(CdgmError):
-    """Training produced a NaN or infinite loss; carries the epoch index."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
+    """Training produced a NaN or infinite loss; the message names the epoch."""
 
 
 class CyclicGraph(CdgmError):

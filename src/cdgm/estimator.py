@@ -26,6 +26,7 @@ from .numerics import SeededRng, run_pair
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
 PREDICT_ROWS = 32  # samples per scatter-and-einsum pass of _predict
 VAL_ROWS = 2048  # validation samples per forward pass
+GRAPH_ROWS = 512  # samples per forward pass of estimate_graphs
 
 
 def offdiag_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -40,15 +41,11 @@ def coef_index(p: int, j: int, k: int) -> int:
     return j * (p - 1) + (k if k < j else k - 1)
 
 
-def _scatter(out: np.ndarray, p: int, beta: np.ndarray | None = None) -> np.ndarray:
-    """(n, p(p-1)) head outputs as (n, p, p) matrices with zero diagonal.
-
-    ``beta``, if given, is a C-contiguous (n, p, p) destination whose
-    diagonal is already zero; only the off-diagonal cells are written.
-    """
+def _scatter(out: np.ndarray, p: int, beta: np.ndarray) -> np.ndarray:
+    """(n, p(p-1)) head outputs written into ``beta``, a C-contiguous
+    (n, p, p) stack whose diagonal is already zero; only the off-diagonal
+    cells are written."""
     n = out.shape[0]
-    if beta is None:
-        beta = np.zeros((n, p, p))
     # Past cell 0, a row-major p x p matrix is rows of p+1 cells, each ending on the diagonal.
     beta.reshape(n, p * p)[:, 1:].reshape(n, p - 1, p + 1)[:, :, :p] = out.reshape(n, p - 1, p)
     return beta
@@ -115,20 +112,19 @@ class TrainConfig:
             raise ShapeMismatch("lr_decay must be finite and > 0")
 
 
-# Per-setting defaults: wide Gaussian/NPN settings train longer, DAG
-# settings use the smaller architecture and lighter dropout.
+# Where a setting departs from the TrainConfig defaults: wide Gaussian/NPN
+# settings train longer, DAG settings also use the smaller architecture
+# and lighter dropout.
 _SETTING_DEFAULTS = {
-    "G1": dict(block1=(128, 64), block2=(128,), dropout=0.3, epochs=50),
-    "G2": dict(block1=(128, 64), block2=(128,), dropout=0.3, epochs=80),
-    "N1": dict(block1=(128, 64), block2=(128,), dropout=0.3, epochs=50),
-    "N2": dict(block1=(128, 64), block2=(128,), dropout=0.3, epochs=80),
+    "G2": dict(epochs=80),
+    "N2": dict(epochs=80),
     "D1": dict(block1=(64, 32), block2=(64,), dropout=0.1, epochs=80),
     "D2": dict(block1=(64, 32), block2=(64,), dropout=0.1, epochs=80),
 }
 
 
 def default_train_config(setting: str, **overrides) -> TrainConfig:
-    base = dict(_SETTING_DEFAULTS[setting])
+    base = dict(_SETTING_DEFAULTS.get(setting, {}))
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -220,7 +216,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
             resid -= xb
             batch_loss = float(np.mean(np.sum(resid * resid, axis=1)))
             if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"non-finite training loss at epoch {epoch}", epoch=epoch)
+                raise NonFiniteLoss(f"non-finite training loss at epoch {epoch}")
             epoch_loss += batch_loss * B
             # d loss / d beta_jk = (2/B) * resid_j * x_k, built over the head outputs
             # just read. Row j*(p-1) + i of the (p(p-1), B) view holds output
@@ -240,7 +236,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
 
         val = _validation_mse(model, Xval, Zval, ws)
         if not np.isfinite(val):
-            raise NonFiniteLoss(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
+            raise NonFiniteLoss(f"non-finite validation loss at epoch {epoch}")
         history.val_loss.append(val)
         if val < best_val:
             best_val = val
@@ -259,14 +255,15 @@ def _gradient_rows(gT, xT, rT, lo, hi):
         np.multiply(xT[j + 1:], rT[j], out=gT[j, j:])
 
 
-def estimate_graphs(model: CdgmModel, Z, batch: int = 512) -> np.ndarray:
-    """Per-sample graphs: entry (j, k) is the negated coefficient of node k
-    in node j's regression; diagonal identically zero."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+def estimate_graphs(model: CdgmModel, Z) -> np.ndarray:
+    """Per-sample graphs for covariates ``Z`` (n, q): entry (j, k) is the
+    negated coefficient of node k in node j's regression; diagonal
+    identically zero."""
+    Z = np.asarray(Z, dtype=np.float64)
     graphs = np.zeros((Z.shape[0], model.p, model.p))
-    for lo in range(0, Z.shape[0], batch):
-        _scatter(nn.forward(model.spec, model.params, Z[lo:lo + batch])[0], model.p,
-                 beta=graphs[lo:lo + batch])
+    for lo in range(0, Z.shape[0], GRAPH_ROWS):
+        _scatter(nn.forward(model.spec, model.params, Z[lo:lo + GRAPH_ROWS])[0], model.p,
+                 graphs[lo:lo + GRAPH_ROWS])
     return np.negative(graphs, out=graphs)  # the zero diagonal reads -0.0
 
 

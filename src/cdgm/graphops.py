@@ -4,6 +4,13 @@ Estimated graphs are normalized so the largest off-diagonal magnitude is
 one, scored symmetrically, and sparsified with a hard threshold under the
 AND rule: an undirected edge survives only if both directed coefficients
 do.
+
+The pipeline scores and thresholds whole stacks (``pair_scores``,
+``normalize_pairs``, ``threshold_pairs``). The per-graph ``normalize``,
+``symmetric_scores`` and ``threshold_and`` state the same rules on one
+matrix. Besides ``magnitude_histogram``'s per-graph ``normalize``, only
+tests call them, as references for the stacked path, and the
+benchmark's tracer times them by name.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
+
+HISTOGRAM_BINS = 50  # equal-width bins of magnitude_histogram over [0, 1]
 
 
 def normalize(w) -> np.ndarray:
@@ -76,18 +85,10 @@ def normalize_pairs(scores, peaks) -> np.ndarray:
     return scores / np.where(peaks == 0.0, 1.0, peaks)[:, None]
 
 
-def skeleton_edge_list(skel) -> list[tuple[int, int]]:
-    """Undirected edges as (j, k) pairs with j < k."""
-    skel = np.asarray(skel).astype(bool)
-    if skel.ndim != 2 or not (skel == skel.T).all():
-        raise ShapeMismatch("skeleton must be a symmetric matrix")
-    jj, kk = np.nonzero(np.triu(skel, k=1))
-    return list(zip(jj.tolist(), kk.tolist()))
-
-
-def write_edge_list(skel, path) -> None:
-    """Edge-list CSV: header j,k then one row per undirected edge."""
-    lines = ["j,k"] + [f"{j},{k}" for j, k in skeleton_edge_list(skel)]
+def write_edge_list(j, k, path) -> None:
+    """Edge-list CSV: header j,k then one row per undirected edge
+    (``j[i]``, ``k[i]``) of the index arrays ``j`` and ``k``, in order."""
+    lines = ["j,k"] + [f"{a},{b}" for a, b in zip(j.tolist(), k.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -100,15 +101,13 @@ def write_histogram(counts, edges, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def magnitude_histogram(graphs, bins: int = 50):
-    """Pooled histogram of off-diagonal magnitudes across normalized graphs.
+def magnitude_histogram(graphs):
+    """Pooled histogram of off-diagonal magnitudes across a (m, p, p) stack
+    of normalized graphs, in ``HISTOGRAM_BINS`` bins over [0, 1].
 
     Emitted so a thresholding level can be picked where the histogram
     shows a gap; no automatic gap detection is attempted.
     """
-    graphs = np.asarray(graphs, dtype=np.float64)
-    if graphs.ndim == 2:
-        graphs = graphs[None]
     values = []
     for g in graphs:
         a = np.abs(normalize(g))
@@ -116,5 +115,5 @@ def magnitude_histogram(graphs, bins: int = 50):
         mask = ~np.eye(p, dtype=bool)
         values.append(a[mask])
     pooled = np.concatenate(values)
-    counts, edges = np.histogram(pooled, bins=bins, range=(0.0, 1.0))
+    counts, edges = np.histogram(pooled, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts, edges

@@ -11,6 +11,7 @@ samples within each covariate cluster.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -29,12 +30,20 @@ NETWORK_FAMILIES = {"dnn": "dnn", "reggmm": "linear"}
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
 
 
+def metric_key(name: str, tau: float) -> str:
+    """Key of a thresholded metric's per-sample list, e.g. ``f1@0.05``."""
+    return f"{name}@{tau:g}"
+
+
 def check_thresholds(values) -> tuple[float, ...]:
     """Thresholds as floats: at least one, each nonnegative (not NaN), in
-    ascending order."""
+    ascending order, with distinct ``metric_key``s."""
     thr = tuple(float(t) for t in values)
     if not thr or not all(t >= 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
         raise ShapeMismatch("thresholds must be nonempty, nonnegative and ascending")
+    keys = [metric_key("f1", t) for t in thr]
+    if len(set(keys)) < len(keys):
+        raise ShapeMismatch(f"thresholds need distinct report keys, got {', '.join(keys)}")
     return thr
 
 
@@ -115,8 +124,8 @@ def _per_sample_lists(res, thresholds) -> dict:
     ``auprc``, and ``f1@τ`` and ``ba@τ`` at every threshold."""
     out = {"auroc": res["auroc"].tolist(), "auprc": res["auprc"].tolist()}
     for i, tau in enumerate(thresholds):
-        out[f"f1@{tau:g}"] = res["f1"][:, i].tolist()
-        out[f"ba@{tau:g}"] = res["ba"][:, i].tolist()
+        out[metric_key("f1", tau)] = res["f1"][:, i].tolist()
+        out[metric_key("ba", tau)] = res["ba"][:, i].tolist()
     return out
 
 
@@ -236,7 +245,8 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
     summary_lines = ["setting,method,threshold,auroc_mean,auroc_std,auprc_mean,"
                      "auprc_std,f1_mean,f1_std,ba_mean,ba_std,replicates"]
     reports = {}
-    keys = {tau: ("auroc", "auprc", f"f1@{tau:g}", f"ba@{tau:g}") for tau in cfg.thresholds}
+    keys = {tau: ("auroc", "auprc", metric_key("f1", tau), metric_key("ba", tau))
+            for tau in cfg.thresholds}
 
     for method in cfg.methods:
         ok = [r for r in replicate_results if r["methods"][method]["status"] == "ok"]
@@ -264,6 +274,7 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
 
 
 def _write_replicate_artifacts(out: Path, rep: dict) -> None:
+    """One replicate's JSON and histogram CSVs, and its stderr lines."""
     rep_path = out / f"replicate_{rep['replicate']:03d}.json"
     rep_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     for method, res in rep["methods"].items():
@@ -271,6 +282,12 @@ def _write_replicate_artifacts(out: Path, rep: dict) -> None:
         if hist:
             graphops.write_histogram(hist["counts"], hist["edges"],
                                      out / f"histogram_{method}_{rep['replicate']:03d}.csv")
+        where = f"replicate {rep['replicate']} (seed {rep['seed']}): {method}"
+        if res["status"] != "ok":
+            print(f"{where} failed: {res['error']}", file=sys.stderr)
+        elif res.get("lasso_nonconverged"):
+            print(f"{where}: {res['lasso_nonconverged']} lasso fits did not converge "
+                  f"within lasso.max_iter sweeps", file=sys.stderr)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
@@ -280,7 +297,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     aggregation; the run itself continues. A replicate with lasso fits
     that ran out of sweeps gets one stderr line with their count. The
     resolved config goes to ``config.json``, from which ``cdgm report``
-    rebuilds the report.
+    rebuilds the report. Each replicate's artifacts and stderr lines are
+    written as soon as it and every earlier replicate are done, so a run
+    that stops early keeps the replicates it finished; the report comes
+    last.
     Replicate worker processes are capped by the CDGM_THREADS environment
     variable, an integer >= 1 checked before any file is written (default 1).
     """
@@ -291,23 +311,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
-    if workers > 1 and cfg.replicates > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, cfg.replicates)) as pool:
-            results = list(pool.map(run_replicate, [cfg] * cfg.replicates,
-                                    range(cfg.replicates)))
-    else:
-        results = [run_replicate(cfg, i) for i in range(cfg.replicates)]
-
-    for rep in results:
-        _write_replicate_artifacts(out, rep)
-        for method, res in rep["methods"].items():
-            where = f"replicate {rep['replicate']} (seed {rep['seed']}): {method}"
-            if res["status"] != "ok":
-                print(f"{where} failed: {res['error']}", file=sys.stderr)
-            elif res.get("lasso_nonconverged"):
-                print(f"{where}: {res['lasso_nonconverged']} lasso fits did not converge "
-                      f"within lasso.max_iter sweeps", file=sys.stderr)
+    results = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1 and cfg.replicates > 1:
+            mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, cfg.replicates))).map
+        for rep in mapper(run_replicate, [cfg] * cfg.replicates, range(cfg.replicates)):
+            _write_replicate_artifacts(out, rep)  # results arrive in index order
+            results.append(rep)
     return write_report(cfg, results, out)
 
 

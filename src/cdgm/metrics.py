@@ -187,11 +187,10 @@ def mean(values) -> float:
     count, rounded once (``math.fsum(v) / len(v)`` rounds twice). NaN if
     any value is NaN.
 
-    ``fsum`` gives the exact sign of S - n * x, the exact sum less n times
-    a float x, when n * x is written as x times each power of two in n.
-    That residual corrects ``fsum / n``, and the result is accepted when S
-    lies strictly between n times the midpoints to its two neighbours.
-    Ties and extreme magnitudes take an exact ``Fraction`` sum instead.
+    The exact sum S is taken as a float expansion: ``fsum`` rounds S to
+    the first part, and each next part is S less the parts so far, again
+    rounded by ``fsum``, until a part is 0. The parts add up to S exactly,
+    so their ``Fraction`` sum over n is the exact mean.
     """
     values = [float(v) for v in values]
     n = len(values)
@@ -199,18 +198,10 @@ def mean(values) -> float:
     guess = total / n
     if total == 0.0 or not math.isfinite(guess):
         return guess
-    if 1e-280 < abs(guess) < 1e280:
-        powers = [float(1 << k) for k in range(n.bit_length()) if n >> k & 1]
-
-        def excess(x, half_gap=0.0):
-            return math.fsum(values + [-x * b for b in powers] + [-half_gap * b for b in powers])
-
-        guess += excess(guess) / n
-        below = (math.nextafter(guess, -math.inf) - guess) / 2
-        above = (math.nextafter(guess, math.inf) - guess) / 2
-        if excess(guess, below) > 0.0 > excess(guess, above):
-            return guess
-    return float(sum(map(Fraction, values)) / n)
+    parts = [total]
+    while parts[-1] != 0.0:
+        parts.append(math.fsum(values + [-x for x in parts]))
+    return float(sum(map(Fraction, parts)) / n)
 
 
 @dataclass

@@ -24,6 +24,8 @@ ADAM_CHUNK = 65536  # optimizer entries updated per pass: 512 KiB per array
 # and may sum in another order than its blocked GEMM: a head product is split
 # only when both halves are larger, so every part takes the blocked kernel.
 SPLIT_MADDS = 100 ** 3
+# Adam's moment decay rates and the denominator's guard (Kingma & Ba 2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -252,22 +254,17 @@ class OptimState:
 
     base_lr: float
     n_params: int
-    clip_norm: float = 1.0
-    lr_step: int = 20
-    lr_decay: float = 0.25
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: np.ndarray = field(default=None, repr=False)
-    v: np.ndarray = field(default=None, repr=False)
-    scratch: np.ndarray = field(default=None, init=False, repr=False)
+    clip_norm: float
+    lr_step: int
+    lr_decay: float
+    step_count: int = field(default=0, init=False)
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.m is None:
-            self.m = np.zeros(self.n_params)
-        if self.v is None:
-            self.v = np.zeros(self.n_params)
+        self.m = np.zeros(self.n_params)
+        self.v = np.zeros(self.n_params)
         # (half of the update, pass array, entry): one workspace per thread
         self.scratch = np.empty((2, 2, min(self.n_params, ADAM_CHUNK)))
 
@@ -280,12 +277,12 @@ def scheduled_lr(state: OptimState, epoch: int) -> float:
 
 
 def optimizer_step(params: ParamSet, gradients: np.ndarray, state: OptimState,
-                   lr: float | None = None) -> tuple[ParamSet, OptimState]:
-    """One adaptive-moment update with bias correction.
+                   lr: float) -> None:
+    """One adaptive-moment update with bias correction at step size ``lr``.
 
     The global gradient norm is clipped to ``state.clip_norm`` before the
-    update. Updates happen in place and ``gradients`` is left as given;
-    params and state are returned for call-site clarity.
+    update. Params and state are updated in place and ``gradients`` is
+    left as given.
     """
     g = np.asarray(gradients, dtype=np.float64)
     if g.shape != params.flat.shape:
@@ -296,14 +293,12 @@ def optimizer_step(params: ParamSet, gradients: np.ndarray, state: OptimState,
         raise NonFiniteGradient("gradients contain NaN or inf")
     clip = np.isfinite(state.clip_norm) and norm > state.clip_norm and norm > 0.0
     state.step_count += 1
-    step_lr = state.base_lr if lr is None else lr
     update = partial(_adam, params.flat, g, state, state.clip_norm / norm if clip else None,
-                     step_lr)
+                     lr)
     # Every entry is updated on its own, so the halves may run on two threads.
     mid = g.size // 2
     run_pair(partial(update, 0, mid, state.scratch[0]),
              partial(update, mid, g.size, state.scratch[1]))
-    return params, state
 
 
 def _adam(flat, g, state, scale, step_lr, lo, hi, scratch):
@@ -319,18 +314,18 @@ def _adam(flat, g, state, scale, step_lr, lo, hi, scratch):
         a, b = scratch[:, :e - s]
         if scale is not None:
             gc = np.multiply(gc, scale, out=a)
-        np.multiply(gc, 1.0 - state.beta1, out=b)
-        m *= state.beta1
+        np.multiply(gc, 1.0 - BETA1, out=b)
+        m *= BETA1
         m += b
-        np.multiply(gc, 1.0 - state.beta2, out=b)
+        np.multiply(gc, 1.0 - BETA2, out=b)
         b *= gc
-        v *= state.beta2
+        v *= BETA2
         v += b
-        np.divide(m, 1.0 - state.beta1 ** t, out=a)
+        np.divide(m, 1.0 - BETA1 ** t, out=a)
         a *= step_lr
-        np.divide(v, 1.0 - state.beta2 ** t, out=b)
+        np.divide(v, 1.0 - BETA2 ** t, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += EPS
         a /= b
         flat[s:e] -= a
 

@@ -136,7 +136,7 @@ def _best_over_path(path, truths, metric):
     patterns, inverse = np.unique(np.array([t[iu] for t in truths]), axis=0,
                                   return_inverse=True)
     inverse = inverse.reshape(-1)
-    scored = baselines.score_graphs(path.graphs, patterns, rank=(metric,))[metric]
+    scored = baselines.score_graphs(path.graphs, patterns)[metric]
     best = baselines.best_penalty(scored, inverse)
     return best, scored[best][inverse].tolist()
 

@@ -193,14 +193,15 @@ def test_dag_mix_branches():
 
 def test_sem_linear_zero_adjacency():
     # one sample: the DAG as the only candidate, at weight one
-    x = datagen.sem_simulate_batch((np.zeros((4, 4)),), np.ones((1, 1)), np.zeros((1, 4)))[0]
+    x = datagen.sem_simulate_batch((np.zeros((4, 4)),), np.ones((1, 1)), np.zeros((1, 4)),
+                                   None)[0]
     assert np.array_equal(x, np.zeros(4))
 
 
 def test_sem_linear_chain_propagates():
     a = np.zeros((2, 2))
     a[1, 0] = 0.7
-    x = datagen.sem_simulate_batch((a,), np.ones((1, 1)), np.array([[1.0, 0.0]]))[0]
+    x = datagen.sem_simulate_batch((a,), np.ones((1, 1)), np.array([[1.0, 0.0]]), None)[0]
     assert x[0] == 1.0 and x[1] == pytest.approx(0.7)
 
 
@@ -208,8 +209,7 @@ def test_sem_hermite_matches_direct_recomputation():
     spec = datagen.make_setting("D2", seed=5, p=6)
     at = _mixed_dag(spec, [0.8, 0.6])
     noise = np.linspace(-0.5, 0.5, 6)
-    x = datagen.sem_simulate_batch((at,), np.ones((1, 1)), noise[None], family="hermite",
-                                   coeffs=spec.hermite_coeffs)[0]
+    x = datagen.sem_simulate_batch((at,), np.ones((1, 1)), noise[None], spec.hermite_coeffs)[0]
     order = datagen.topological_order(at)
     expect = np.zeros(6)
     for j in order:

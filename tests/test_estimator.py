@@ -179,7 +179,7 @@ def test_train_linear_family_recovers_known_coefficients():
     u = gen.standard_normal((n, p))
     X = np.linalg.solve(np.transpose(low, (0, 2, 1)), u[..., None])[..., 0]
     spec = datagen.make_setting("G1", seed=0, p=p)
-    ds = datagen.Dataset(spec=spec, seed=0, X=X, Z=Z, splits=(n - 20_000, 10_000, 10_000))
+    ds = datagen.Dataset(spec=spec, X=X, Z=Z, splits=(n - 20_000, 10_000, 10_000))
     cfg = estimator.TrainConfig(epochs=80, batch_size=4096, base_lr=0.08,
                                 lr_step=5, lr_decay=0.3, seed=1, family="linear")
     model, _ = estimator.train(ds, cfg)

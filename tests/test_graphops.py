@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdgm import graphops
-from cdgm.errors import ShapeMismatch
 
 
 def offdiag(p, gen):
@@ -91,24 +90,26 @@ def test_threshold_invariant_to_positive_rescaling_after_normalize():
     assert np.array_equal(a, b)
 
 
-def test_magnitude_histogram_counts_offdiagonal_entries():
-    w = np.zeros((3, 3))
-    w[0, 1], w[1, 0] = 1.0, 0.5
-    counts, edges = graphops.magnitude_histogram(w, bins=4)
+def test_magnitude_histogram_counts_offdiagonal_entries(monkeypatch):
+    monkeypatch.setattr(graphops, "HISTOGRAM_BINS", 4)
+    w = np.zeros((1, 3, 3))
+    w[0, 0, 1], w[0, 1, 0] = 1.0, 0.5
+    counts, edges = graphops.magnitude_histogram(w)
+    assert len(counts) == 4
     assert counts.sum() == 6  # all off-diagonal cells pooled
     assert edges[0] == 0.0 and edges[-1] == 1.0
     assert counts[-1] == 1  # the unit entry
 
 
 def test_skeleton_edge_list_and_csv(tmp_path):
+    # a skeleton's edges as cdgm eval writes them: upper-triangle pairs, j < k
     skel = np.zeros((4, 4), dtype=bool)
     skel[0, 2] = skel[2, 0] = True
     skel[1, 3] = skel[3, 1] = True
-    assert graphops.skeleton_edge_list(skel) == [(0, 2), (1, 3)]
+    j, k = np.triu_indices(4, 1)
+    row = skel[j, k]
     out = tmp_path / "edges.csv"
-    graphops.write_edge_list(skel, out)
+    graphops.write_edge_list(j[row], k[row], out)
     assert out.read_text() == "j,k\n0,2\n1,3\n"
-    with pytest.raises(ShapeMismatch):
-        asym = np.zeros((3, 3), dtype=bool)
-        asym[0, 1] = True
-        graphops.skeleton_edge_list(asym)
+    graphops.write_edge_list(j[:0], k[:0], out)
+    assert out.read_text() == "j,k\n"

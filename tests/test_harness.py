@@ -233,7 +233,9 @@ def g1_model(tmp_path_factory):
 @pytest.mark.parametrize("flag", ["--thresholds=0.1,abc", "--thresholds=",
                                   "--thresholds=-0.1", "--thresholds=0.1,0.05",
                                   "--thresholds=nan", "--edge-list-tau=-0.1",
-                                  "--edge-list-tau=0.1,0.2"])
+                                  "--edge-list-tau=0.1,0.2",
+                                  # two thresholds, one report key (f1@0.1, f1@0.05)
+                                  "--thresholds=0.1,0.10000001", "--thresholds=0.05,0.05"])
 def test_cli_eval_rejects_bad_thresholds_before_reading(g1_model, tmp_path, flag):
     data, model = g1_model
     for d, m in ((data, model), (tmp_path / "missing", tmp_path / "missing")):
@@ -287,9 +289,8 @@ def test_cli_eval_edge_lists_match_per_graph_skeletons(g1_model, tmp_path):
     assert len(list((tmp_path / "r" / "edges").iterdir())) == len(graphs)
     for i, g in enumerate(graphs):
         skel = graphops.threshold_and(graphops.normalize(g), tau)
-        graphops.write_edge_list(skel, tmp_path / "want.csv")
-        assert (tmp_path / "r" / "edges" / f"sample_{i:05d}.csv").read_text() == \
-            (tmp_path / "want.csv").read_text()
+        want = "".join(f"{j},{k}\n" for j, k in zip(*np.nonzero(np.triu(skel, 1))))
+        assert (tmp_path / "r" / "edges" / f"sample_{i:05d}.csv").read_text() == "j,k\n" + want
 
 
 def _write_experiment_config(path, out_dir, *lines):
@@ -355,6 +356,27 @@ def test_cli_failed_method_on_stderr_and_exit_code(tmp_path):
     rep = json.loads((out / "replicate_001.json").read_text())
     assert rep["methods"]["dnn"]["status"] == "failed"
     assert rep["methods"]["nodewise-lasso"]["status"] == "ok"
+
+
+def test_each_replicate_is_written_when_it_finishes(tmp_path, monkeypatch, capsys):
+    # a run that stops in replicate 1 keeps replicate 0's JSON, histogram and stderr line
+    monkeypatch.delenv("CDGM_THREADS", raising=False)
+    run = harness.run_replicate
+
+    def stop_in_second(cfg, index):
+        if index == 1:
+            raise RuntimeError("stopped")
+        return run(cfg, index)
+
+    monkeypatch.setattr(harness, "run_replicate", stop_in_second)
+    cfg = _tiny_config(tmp_path, replicates=2, seeds=(5, 6), methods=("dnn", "nodewise-lasso"),
+                       lasso=dict(n_lambdas=6, max_iter=1))
+    with pytest.raises(RuntimeError, match="stopped"):
+        harness.run_experiment(cfg)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "config.json", "histogram_dnn_000.csv", "replicate_000.json"]
+    assert capsys.readouterr().err.startswith(
+        "replicate 0 (seed 5): nodewise-lasso: ")
 
 
 def test_cli_nonconverged_lasso_on_stderr(tmp_path):
@@ -439,7 +461,10 @@ def test_cli_config_rejects_bad_generator_option_at_canonical_p(tmp_path, settin
     (("gen.noise_sd = 1",), "G1 does not read gen.noise_sd"),
     (("setting = G2", "gen.transpose_coeffs = true"), "G2 does not read gen.transpose_coeffs"),
     (("setting = N1", "gen.rbf_terms = 4"), "N1 does not read gen.rbf_terms"),
-    (("setting = D1", "gen.offdiag_value = 0.3"), "D1 does not read gen.offdiag_value")])
+    (("setting = D1", "gen.offdiag_value = 0.3"), "D1 does not read gen.offdiag_value"),
+    # thresholds whose report keys coincide: the second would overwrite the first
+    (("thresholds = 0.1, 0.10000001",), "thresholds need distinct report keys"),
+    (("thresholds = 0.05, 0.05",), "thresholds need distinct report keys")])
 def test_cli_config_that_does_nothing_or_repeats_exits_one(tmp_path, lines, message):
     out = tmp_path / "run"
     cfg_file = _write_experiment_config(tmp_path / "bad.cfg", out, *lines)

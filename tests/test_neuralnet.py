@@ -209,8 +209,9 @@ def test_optimizer_zero_gradient_keeps_params():
     spec = small_spec()
     params = nn.init_params(spec, SeededRng(6, 0))
     before = params.flat.copy()
-    state = nn.OptimState(base_lr=0.1, n_params=spec.n_params)
-    nn.optimizer_step(params, np.zeros_like(before), state)
+    state = nn.OptimState(base_lr=0.1, n_params=spec.n_params, clip_norm=1.0, lr_step=20,
+                          lr_decay=0.25)
+    nn.optimizer_step(params, np.zeros_like(before), state, lr=0.1)
     assert np.array_equal(params.flat, before)
     assert state.step_count == 1
 
@@ -218,33 +219,33 @@ def test_optimizer_zero_gradient_keeps_params():
 def test_optimizer_clips_global_norm():
     spec = nn.MlpSpec(input_dim=1, block1=(), block2=(), output_dim=1)
     params = nn.ParamSet(spec)
-    state = nn.OptimState(base_lr=1.0, n_params=2, clip_norm=1.0)
+    state = nn.OptimState(base_lr=1.0, n_params=2, clip_norm=1.0, lr_step=20, lr_decay=0.25)
     g = np.array([6.0, 8.0])  # norm 10 -> scaled by 0.1
-    nn.optimizer_step(params, g, state)
+    nn.optimizer_step(params, g, state, lr=1.0)
     assert np.allclose(state.m, 0.1 * np.array([0.6, 0.8]))
 
 
 def test_optimizer_rejects_non_finite():
     spec = nn.MlpSpec(input_dim=1, block1=(), block2=(), output_dim=1)
     params = nn.ParamSet(spec)
-    state = nn.OptimState(base_lr=0.1, n_params=2)
+    state = nn.OptimState(base_lr=0.1, n_params=2, clip_norm=1.0, lr_step=20, lr_decay=0.25)
     with pytest.raises(NonFiniteGradient):
-        nn.optimizer_step(params, np.array([np.nan, 0.0]), state)
+        nn.optimizer_step(params, np.array([np.nan, 0.0]), state, lr=0.1)
 
 
 def test_optimizer_converges_on_quadratic():
     # minimize (theta - 3)^2 with analytic gradient
     spec = nn.MlpSpec(input_dim=1, block1=(), block2=(), output_dim=1)
     params = nn.ParamSet(spec)
-    state = nn.OptimState(base_lr=0.1, n_params=2, clip_norm=np.inf)
+    state = nn.OptimState(base_lr=0.1, n_params=2, clip_norm=np.inf, lr_step=20, lr_decay=0.25)
     for _ in range(200):
         g = np.array([2.0 * (params.flat[0] - 3.0), 0.0])
-        nn.optimizer_step(params, g, state)
+        nn.optimizer_step(params, g, state, lr=0.1)
     assert abs(params.flat[0] - 3.0) < 1e-3
 
 
 def test_scheduled_lr_step_decay():
-    state = nn.OptimState(base_lr=0.0005, n_params=1, lr_step=20, lr_decay=0.25)
+    state = nn.OptimState(base_lr=0.0005, n_params=1, clip_norm=1.0, lr_step=20, lr_decay=0.25)
     assert nn.scheduled_lr(state, 0) == 0.0005
     assert nn.scheduled_lr(state, 19) == 0.0005
     assert nn.scheduled_lr(state, 20) == pytest.approx(0.000125)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from cdgm import baselines, datagen, estimator, harness, metrics
+from cdgm import baselines, datagen, estimator, graphops, harness, metrics
 from cdgm.errors import DegenerateLabels
 
 THRESHOLDS = (0.0, 0.0123456789, 0.05, 0.1)
@@ -286,10 +286,12 @@ def test_best_over_path_auprc_on_complete_truth():
                                graphs=list(np.round(gen.normal(size=(3, 6, 6)), 1)))
     full = ~np.eye(6, dtype=bool)[np.triu_indices(6, 1)][None]
     lam, vals = _ref_best_over_path(path, full, "auprc")
-    scored = baselines.score_graphs(path.graphs, full, rank=("auprc",))["auprc"]
+    scores = graphops.pair_scores(path.graphs)[0]
+    one = np.zeros(len(scores), dtype=int)  # every graph against the one label row
+    scored = metrics.score_rows(scores, full, one, rank=("auprc",))["auprc"][:, None]
     best = baselines.best_penalty(scored, [0])
     assert (path.lambdas[best], scored[best][[0]].tolist()) == (lam, vals)
     with pytest.raises(DegenerateLabels, match="one positive and one negative"):
-        baselines.score_graphs(path.graphs, full, rank=("auroc",))
+        metrics.score_rows(scores, full, one, rank=("auroc",))
     with pytest.raises(DegenerateLabels, match="need at least one positive$"):
-        baselines.score_graphs(path.graphs, ~full, rank=("auprc",))
+        metrics.score_rows(scores, ~full, one, rank=("auprc",))

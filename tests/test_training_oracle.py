@@ -81,7 +81,7 @@ def _ref_backward(cache, grad_outputs):
     return gparams.flat
 
 
-def _ref_optimizer_step(params, gradients, state, lr=None):
+def _ref_optimizer_step(params, gradients, state, lr):
     g = np.asarray(gradients, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("gradients contain NaN or inf")
@@ -90,13 +90,12 @@ def _ref_optimizer_step(params, gradients, state, lr=None):
         g = g * (state.clip_norm / norm)
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    step_lr = state.base_lr if lr is None else lr
-    params.flat -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params, state
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = state.m / (1.0 - beta1 ** t)
+    v_hat = state.v / (1.0 - beta2 ** t)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # --- dense reference ---------------------------------------------------------
@@ -191,7 +190,7 @@ def _train_both(setting, family, n_train, batch):
 
 
 @pytest.mark.parametrize("setting,family", [("G1", "dnn"), ("G1", "linear"), ("D2", "dnn")])
-def test_training_matches_dense_reference(setting, family):
+def test_training_matches_dense_reference(setting, family, monkeypatch):
     ds, spec, model, ref_spec, ref_params = _train_both(setting, family, N_TRAIN, BATCH)
 
     Xte, Zte = ds.part("test")
@@ -200,7 +199,8 @@ def test_training_matches_dense_reference(setting, family):
     assert np.array_equal(estimator.predict_nodes(model, Zte[:1], Xte[:1]),
                           _ref_predict(ref_spec, ref_params, Zte[:1], Xte[:1]))
     for batch in (25, 512):
-        graphs = estimator.estimate_graphs(model, Zte, batch=batch)
+        monkeypatch.setattr(estimator, "GRAPH_ROWS", batch)
+        graphs = estimator.estimate_graphs(model, Zte)
         ref = _ref_graphs(ref_spec, ref_params, Zte, spec.p, batch)
         # bytes, not values: the negated zero diagonal is -0.0 in both
         assert graphs.shape == ref.shape and graphs.tobytes() == ref.tobytes()
@@ -208,14 +208,14 @@ def test_training_matches_dense_reference(setting, family):
 
 def test_strided_scatter_hand_cases():
     # p=2: outputs are (beta_01, beta_10)
-    beta = estimator._scatter(np.array([[3.0, -2.0], [0.5, 7.0]]), 2)
+    beta = estimator._scatter(np.array([[3.0, -2.0], [0.5, 7.0]]), 2, np.zeros((2, 2, 2)))
     assert np.array_equal(beta, [[[0.0, 3.0], [-2.0, 0.0]], [[0.0, 0.5], [7.0, 0.0]]])
     assert np.array_equal(estimator._predict(np.array([[3.0, -2.0]]), np.array([[1.0, 2.0]])),
                           [[6.0, -2.0]])
     # every output lands on the cell coef_index names, for several p
     for p in (1, 3, 5, 8):
         out = np.arange(1.0, 1.0 + 2 * p * (p - 1)).reshape(2, p * (p - 1))
-        beta = estimator._scatter(out, p)
+        beta = estimator._scatter(out, p, np.zeros((2, p, p)))
         assert beta.shape == (2, p, p)
         for j in range(p):
             assert np.all(beta[:, j, j] == 0.0)
@@ -240,6 +240,14 @@ def _g1_network():
     spec = estimator._network_spec(estimator.default_train_config("G1"), p=50, q=2)
     assert spec.n_params == 333_266
     return spec, nn.init_params(spec, SeededRng(11, stream=0))
+
+
+def _adam_state(clip_norm=1.0):
+    """Fresh optimizer state for the G1 network, base lr 1e-3, on the
+    TrainConfig schedule."""
+    cfg = estimator.TrainConfig()
+    return nn.OptimState(base_lr=1e-3, n_params=333_266, clip_norm=clip_norm,
+                         lr_step=cfg.lr_step, lr_decay=cfg.lr_decay)
 
 
 @pytest.mark.parametrize("setting,family", [("G1", "dnn"), ("G1", "linear"), ("D2", "dnn")])
@@ -272,13 +280,12 @@ def test_forward_backward_match_frozen_kernels(setting, family, layout):
 def test_adam_matches_frozen_step_for_40_steps(scale, clip_norm):
     spec, params = _g1_network()
     ref_params = params.copy()
-    state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params, clip_norm=clip_norm)
-    ref_state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params, clip_norm=clip_norm)
+    state, ref_state = _adam_state(clip_norm), _adam_state(clip_norm)
     gen = np.random.default_rng(14)
     for step in range(40):
         g = gen.normal(scale=scale, size=spec.n_params)
         given = g.copy()
-        lr = None if step % 2 else nn.scheduled_lr(state, step)
+        lr = state.base_lr if step % 2 else nn.scheduled_lr(state, step)
         nn.optimizer_step(params, g, state, lr=lr)
         _ref_optimizer_step(ref_params, given, ref_state, lr=lr)
         assert np.array_equal(g, given)  # the caller's gradient is left alone
@@ -292,20 +299,20 @@ def test_adam_rejects_each_kind_of_non_finite_entry():
     spec, params = _g1_network()
     before = params.flat.copy()
     for bad in (np.nan, np.inf, -np.inf):
-        state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params)
+        state = _adam_state()
         g = np.zeros(spec.n_params)
         g[123_456] = bad
         with pytest.raises(NonFiniteGradient):
-            nn.optimizer_step(params, g, state)
+            nn.optimizer_step(params, g, state, lr=1e-3)
         assert state.step_count == 0
     assert np.array_equal(params.flat, before)
     # finite entries whose squares overflow the norm raise nothing and step as before
-    state = nn.OptimState(base_lr=1e-3, n_params=spec.n_params)
+    state = _adam_state()
     g = np.full(spec.n_params, 1e300)
-    ref_params, ref_state = params.copy(), nn.OptimState(base_lr=1e-3, n_params=spec.n_params)
+    ref_params, ref_state = params.copy(), _adam_state()
     with np.errstate(over="ignore"):
-        nn.optimizer_step(params, g, state)
-        _ref_optimizer_step(ref_params, g, ref_state)
+        nn.optimizer_step(params, g, state, lr=1e-3)
+        _ref_optimizer_step(ref_params, g, ref_state, lr=1e-3)
     assert np.array_equal(params.flat, ref_params.flat)
 
 
