@@ -53,9 +53,9 @@ def _checked(make, **options):
 
 def _config_keys() -> dict[str, tuple[str | None, str, object]]:
     """Every config key as (override group or None, name, declared type):
-    the fields of ``ExperimentConfig``, ``TrainConfig`` (``dnn.*``) and
-    ``LassoConfig`` (``lasso.*``), and the generator options of ``SettingSpec``
-    (``gen.*``)."""
+    the fields of ``ExperimentConfig``, ``TrainConfig`` (``dnn.*``, with
+    ``dnn.lr`` for ``base_lr``) and ``LassoConfig`` (``lasso.*``), and the
+    generator options of ``SettingSpec`` (``gen.*``)."""
     gen = typing.get_type_hints(datagen.SettingSpec)
     keys = {}
     for prefix, group, hints in (
@@ -66,7 +66,7 @@ def _config_keys() -> dict[str, tuple[str | None, str, object]]:
         keys.update((prefix + name, (group, name, tp)) for name, tp in hints.items()
                     if tp is not dict)
     del keys["dnn.family"]  # the method name picks the family
-    keys["dnn.lr"] = keys["dnn.base_lr"]
+    keys["dnn.lr"] = keys.pop("dnn.base_lr")
     return keys
 
 
@@ -74,7 +74,7 @@ def parse_config_file(path) -> harness.ExperimentConfig:
     """Flat key-value experiment config; '#' starts a comment.
 
     Each key is read as the type ``_config_keys`` declares for it; dotted
-    keys collect into the per-method override dicts.
+    keys collect into the per-method override dicts. A key may appear once.
     """
     kv = {}
     for raw in Path(path).read_text().splitlines():
@@ -84,6 +84,8 @@ def parse_config_file(path) -> harness.ExperimentConfig:
         if "=" not in line:
             raise UsageError(f"bad config line (need key = value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in kv:
+            raise UsageError(f"config key {key!r} is given twice")
         kv[key] = value
 
     keys = _config_keys()
@@ -173,6 +175,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = datagen.load_dataset(args.data)
+    _checked(harness.check_pseudo_moral, spec=ds.spec, pseudo=args.pseudo_moral)
     model = estimator.load_model(args.model)
     graphs, per_sample = harness.score_test_split(model, ds, args.pseudo_moral, args.thresholds)
     out = Path(args.out)
@@ -199,6 +202,7 @@ def cmd_baseline(args) -> int:
              "export_paths": args.export_paths}
     _checked(baselines.LassoConfig, **lasso)  # before any data is read
     ds = datagen.load_dataset(args.data)
+    _checked(harness.check_pseudo_moral, spec=ds.spec, pseudo=args.pseudo_moral)
     cfg = harness.ExperimentConfig(
         setting=ds.spec.setting, seeds=(ds.spec.seed,), methods=("nodewise-lasso",),
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],
@@ -251,11 +255,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = harness.load_config(args.dir)
-    reps = harness.load_replicates(args.dir)
-    if not reps:
-        raise CdgmError(f"no replicate artifacts under {args.dir}")
-    harness.write_report(cfg, reps, args.dir)
+    harness.write_report(*harness.load_run(args.dir), args.dir)
     print(f"wrote {Path(args.dir) / 'report.csv'}")
     return 0
 

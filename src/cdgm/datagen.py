@@ -13,8 +13,7 @@ Ground truth has one rule. A sample's support key (``support_keys``) says
 which candidates are active at its covariate, and its skeleton
 (``truth_skeleton``) is read from that key alone: the off-diagonal union
 of the active candidates' supports in the Gaussian/NPN settings, and the
-moral graph of the union of the active trees in the DAG settings,
-transposed whenever ``transpose_coeffs`` is set, as the SEM reads it.
+moral graph of the union of the active trees in the DAG settings.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CyclicGraph, NotPositiveDefinite, ShapeMismatch
-from .numerics import SeededRng, cholesky
+from .numerics import cholesky, seeded_rng
 
 SETTING_IDS = ("G1", "G2", "N1", "N2", "D1", "D2")
 
@@ -135,7 +134,7 @@ def npn_transform(x, kind: str) -> np.ndarray:
 # DAG machinery
 
 
-def random_tree_dag(p: int, rng: SeededRng) -> np.ndarray:
+def random_tree_dag(p: int, rng: np.random.Generator) -> np.ndarray:
     """Adjacency of a random rooted tree where each non-leaf gets 1-3 children.
 
     Node 0 is the root and ids are assigned in growth order, so every
@@ -150,7 +149,7 @@ def random_tree_dag(p: int, rng: SeededRng) -> np.ndarray:
     while next_id < p:
         parent = queue[head]
         head += 1
-        n_children = int(rng.generator.integers(1, 4))
+        n_children = int(rng.integers(1, 4))
         for _ in range(n_children):
             if next_id >= p:
                 break
@@ -289,15 +288,15 @@ def sem_simulate_batch(candidates, weights, noise, coeffs) -> np.ndarray:
 class SettingSpec:
     """One setting's generator options and the constants they fix.
 
-    The fields after ``setting`` and ``seed``, up to ``transpose_coeffs``,
-    are the generator options (the ``gen.*`` config keys). ``None`` takes
+    The fields after ``setting`` and ``seed``, up to ``noise_sd``, are the
+    generator options (the ``gen.*`` config keys). ``None`` takes
     the canonical dimension: ``p`` 50 (90 for G2/N2), ``block_size``
     ``p // 3``. Candidate precision entries default to diag 1.0 /
     off-diagonal 0.45 and SEM noise to unit variance: the scales at which
     the trained estimator reproduces the reference recovery levels. Every
     option is range-checked for every setting, whether the setting reads
     it or not; the candidate matrices, RBF parameters and Hermite
-    coefficients are then drawn from ``SeededRng(seed, 0)``.
+    coefficients are then drawn from ``seeded_rng(seed, 0)``.
     """
 
     setting: str
@@ -308,7 +307,6 @@ class SettingSpec:
     block_size: int | None = None
     rbf_terms: int = 10
     noise_sd: float = 1.0
-    transpose_coeffs: bool = False
     # materialized constants
     q: int = field(init=False)
     candidates: tuple = field(init=False, repr=False)
@@ -337,19 +335,18 @@ class SettingSpec:
             raise ShapeMismatch("noise_sd must be finite and > 0")
 
         q = 10 if wide else 2
-        setup = SeededRng(self.seed, stream=0)
+        setup = seeded_rng(self.seed, stream=0)
         rbf_params = hermite_coeffs = None
         if self.mechanism == "dag":
             candidates = (random_tree_dag(p, setup), random_tree_dag(p, setup))
             if self.setting == "D2":
-                hermite_coeffs = setup.generator.uniform(0.1, 0.5, (p, p, 3))
+                hermite_coeffs = setup.uniform(0.1, 0.5, (p, p, 3))
         elif wide:
             candidates = tuple(block_precision(p, l, block_size, self.diag_value,
                                                self.offdiag_value) for l in (1, 2, 3))
-            gen = setup.generator
-            rbf_params = (gen.uniform(-10.0, 10.0, self.rbf_terms),  # alphas
-                          gen.uniform(0.1, 0.5, self.rbf_terms),  # betas
-                          gen.uniform(-1.0, 1.0, (self.rbf_terms, q)))  # centers
+            rbf_params = (setup.uniform(-10.0, 10.0, self.rbf_terms),  # alphas
+                          setup.uniform(0.1, 0.5, self.rbf_terms),  # betas
+                          setup.uniform(-1.0, 1.0, (self.rbf_terms, q)))  # centers
         else:
             candidates = tuple(banded_precision(p, l, self.diag_value, self.offdiag_value)
                                for l in (1, 2, 3))
@@ -376,7 +373,7 @@ make_setting = SettingSpec
 def options_read(setting: str) -> tuple[str, ...]:
     """The generator options that ``setting``'s data depend on."""
     if setting.startswith("D"):
-        return ("p", "noise_sd", "transpose_coeffs")
+        return ("p", "noise_sd")
     wide = ("block_size", "rbf_terms") if setting in ("G2", "N2") else ()
     return ("p", "diag_value", "offdiag_value") + wide
 
@@ -451,15 +448,14 @@ def truth_skeleton(spec: SettingSpec, z, pseudo: bool = False) -> np.ndarray:
 
     Gaussian/NPN settings: the off-diagonal union of the active
     candidates' supports. DAG settings: the moral graph (pseudo-moral if
-    ``pseudo``) of the union of the active trees, transposed when the SEM
-    ran on the transposed reading (``transpose_coeffs``).
+    ``pseudo``) of the union of the active trees.
     """
     skel = np.zeros((spec.p, spec.p), dtype=bool)
     for candidate, active in zip(spec.candidates, support_keys(spec, z)[0]):
         if active:
             skel |= candidate != 0
     if spec.mechanism == "dag":
-        return moralize(skel.T if spec.transpose_coeffs else skel, pseudo=pseudo)
+        return moralize(skel, pseudo=pseudo)
     np.fill_diagonal(skel, False)
     return skel
 
@@ -504,7 +500,7 @@ def _draw_covariate(spec: SettingSpec, gen: np.random.Generator) -> np.ndarray:
 def generate_dataset(spec: SettingSpec, n: int, splits) -> Dataset:
     """Generate ``n`` paired samples with per-sample RNG streams.
 
-    Sample i draws from its own stream ``SeededRng(spec.seed, i + 1)``: the
+    Sample i draws from its own stream ``seeded_rng(spec.seed, i + 1)``: the
     covariate, then the SEM noise or the Gaussian draw u. Only those draws
     run per sample; the mixing, the SEM and the factorisations run over
     all samples at once. Ground truth is regenerable from (spec,
@@ -535,13 +531,11 @@ def _generate_dag(spec: SettingSpec, n: int):
     Z = np.empty((n, spec.q))
     noise = np.empty((n, spec.p))
     for i in range(n):
-        gen = SeededRng(spec.seed, stream=i + 1).generator
+        gen = seeded_rng(spec.seed, stream=i + 1)
         Z[i] = _draw_covariate(spec, gen)
         noise[i] = gen.normal(0.0, spec.noise_sd, size=spec.p)
     weights, _ = covariate_to_weights(spec, Z)
-    # transpose_coeffs: the SEM reads each candidate transposed
-    candidates = [c.T for c in spec.candidates] if spec.transpose_coeffs else spec.candidates
-    X = sem_simulate_batch(candidates, weights, noise, spec.hermite_coeffs)
+    X = sem_simulate_batch(spec.candidates, weights, noise, spec.hermite_coeffs)
     return X, Z, 0
 
 
@@ -559,7 +553,7 @@ def _generate_gaussian(spec: SettingSpec, n: int):
     X = np.empty((n, p))
     resamples = 0
     for lo in range(0, n, FACTOR_CHUNK):
-        gens = [SeededRng(spec.seed, stream=i + 1).generator
+        gens = [seeded_rng(spec.seed, stream=i + 1)
                 for i in range(lo, min(n, lo + FACTOR_CHUNK))]
         z = np.array([_draw_covariate(spec, gen) for gen in gens])
         weights, _ = covariate_to_weights(spec, z)
@@ -592,6 +586,9 @@ def _generate_gaussian(spec: SettingSpec, n: int):
 # ---------------------------------------------------------------------------
 # disk format
 
+# meta.json's "generator" block: the generator options but p, a top-level key.
+META_OPTIONS = tuple(k for k in GENERATOR_OPTIONS if k != "p")
+
 
 def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
     """Write meta.json plus little-endian row-major float64 X.f64 / Z.f64."""
@@ -605,8 +602,7 @@ def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
         "q": spec.q,
         "seed": spec.seed,
         "splits": {"train": ds.splits[0], "val": ds.splits[1], "test": ds.splits[2]},
-        "generator": {"setting_seed": spec.seed,
-                      **{k: getattr(spec, k) for k in GENERATOR_OPTIONS if k != "p"}},
+        "generator": {k: getattr(spec, k) for k in META_OPTIONS},
         "resample_count": ds.resample_count,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -632,9 +628,12 @@ def _read_f64(path: Path, n: int, cols: int) -> np.ndarray:
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
-    options = dict(meta["generator"])
-    spec = SettingSpec(meta["setting"], seed=options.pop("setting_seed"), p=meta["p"],
-                       **options)
+    unknown = [k for k in meta["generator"] if k not in META_OPTIONS]
+    if unknown:
+        raise ShapeMismatch(f"{src / 'meta.json'}: 'generator' holds {unknown[0]!r}; "
+                            f"its keys are {', '.join(META_OPTIONS)}")
+    spec = SettingSpec(meta["setting"], seed=meta["seed"], p=meta["p"],
+                       **meta["generator"])
     n, p, q = meta["n"], meta["p"], meta["q"]
     splits = _checked_splits((meta["splits"][k] for k in ("train", "val", "test")), n,
                              f"{src / 'meta.json'}: ")

@@ -13,10 +13,6 @@ class ShapeMismatch(CdgmError):
     """Array dimensions are inconsistent with the operation's contract."""
 
 
-class StaleCache(CdgmError):
-    """A backward pass received a cache that does not match its gradients."""
-
-
 class NonFiniteGradient(CdgmError):
     """An optimizer step received NaN or infinite gradients."""
 
@@ -27,10 +23,6 @@ class NonFiniteLoss(CdgmError):
 
 class CyclicGraph(CdgmError):
     """A matrix expected to encode a DAG contains a directed cycle."""
-
-
-class MarginViolated(CdgmError):
-    """Threshold selection requires strong-edge floor > weak-edge ceiling."""
 
 
 class DegenerateLabels(CdgmError):

@@ -21,7 +21,7 @@ import numpy as np
 from . import neuralnet as nn
 from .datagen import Dataset
 from .errors import NonFiniteLoss, ShapeMismatch
-from .numerics import SeededRng, run_pair
+from .numerics import run_pair, seeded_rng
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
 PREDICT_ROWS = 32  # samples per scatter-and-einsum pass of _predict
@@ -129,6 +129,13 @@ def default_train_config(setting: str, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
+    """Step decay: base_lr * lr_decay^floor(epoch / lr_step)."""
+    if epoch < 0:
+        raise ShapeMismatch("epoch must be >= 0")
+    return cfg.base_lr * cfg.lr_decay ** (epoch // cfg.lr_step)
+
+
 @dataclass
 class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
@@ -184,12 +191,11 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
     p, q = Xtr.shape[1], Ztr.shape[1]
 
     spec = _network_spec(cfg, p, q)
-    params = nn.init_params(spec, SeededRng(cfg.seed, stream=0))
-    shuffle_rng = SeededRng(cfg.seed, stream=1)
-    dropout_rng = SeededRng(cfg.seed, stream=2)
-    state = nn.OptimState(base_lr=cfg.base_lr, n_params=spec.n_params,
-                          clip_norm=cfg.clip_norm, lr_step=cfg.lr_step,
-                          lr_decay=cfg.lr_decay)
+    params = nn.init_params(spec, seeded_rng(cfg.seed, stream=0))
+    shuffle_rng = seeded_rng(cfg.seed, stream=1)
+    dropout_rng = seeded_rng(cfg.seed, stream=2)
+    state = nn.OptimState(n_params=spec.n_params,
+                          clip_norm=cfg.clip_norm)
     model = CdgmModel(p=p, q=q, spec=spec, params=params)
     n = Xtr.shape[0]
     # The fit's one head workspace: a training batch's head outputs, then its
@@ -203,8 +209,8 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
     best_epoch = 0
 
     for epoch in range(cfg.epochs):
-        lr = nn.scheduled_lr(state, epoch)
-        order = shuffle_rng.generator.permutation(n)
+        lr = scheduled_lr(cfg, epoch)
+        order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]

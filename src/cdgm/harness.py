@@ -28,6 +28,7 @@ VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 # Model family ``estimator.train`` fits for each network method.
 NETWORK_FAMILIES = {"dnn": "dnn", "reggmm": "linear"}
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
+REPLICATE_JSON = "replicate_{:03d}.json"  # replicate i's results, written as it finishes
 
 
 def metric_key(name: str, tau: float) -> str:
@@ -64,8 +65,6 @@ class ExperimentConfig:
     generator: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.setting not in datagen.SETTING_IDS:
-            raise ShapeMismatch(f"unknown setting {self.setting!r}")
         if self.replicates < 1:
             raise ShapeMismatch("replicate count must be >= 1")
         self.seeds = tuple(int(s) for s in self.seeds)
@@ -91,6 +90,7 @@ class ExperimentConfig:
         # spec and LassoConfig the fits build.
         spec = datagen.make_setting(self.setting, seed=self.seeds[0], **self.generator)
         datagen.check_options_read(self.setting, self.generator)
+        check_pseudo_moral(spec, self.pseudo_moral)
         for m in self.methods:
             if m in NETWORK_FAMILIES:
                 if self.n_val < 1 or self.n_test < 1:
@@ -104,6 +104,12 @@ def _train_config(cfg: ExperimentConfig, seed: int, family: str) -> estimator.Tr
     """The TrainConfig a replicate with ``seed`` fits ``family`` with."""
     return estimator.default_train_config(cfg.setting, family=family,
                                           **{"seed": seed, **cfg.dnn})
+
+
+def check_pseudo_moral(spec: datagen.SettingSpec, pseudo: bool) -> None:
+    """Reject pseudo-moral truth for a setting whose truth has no moral graph."""
+    if pseudo and spec.mechanism != "dag":
+        raise ShapeMismatch(f"pseudo_moral applies to D settings only, not {spec.setting}")
 
 
 def truth_vectors(spec, Z, pseudo: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +281,8 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
 
 def _write_replicate_artifacts(out: Path, rep: dict) -> None:
     """One replicate's JSON and histogram CSVs, and its stderr lines."""
-    rep_path = out / f"replicate_{rep['replicate']:03d}.json"
-    rep_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
+    (out / REPLICATE_JSON.format(rep["replicate"])).write_text(
+        json.dumps(rep, indent=2, sort_keys=True) + "\n")
     for method, res in rep["methods"].items():
         hist = res.get("histogram")
         if hist:
@@ -323,14 +329,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     return write_report(cfg, results, out)
 
 
-def load_config(out_dir) -> ExperimentConfig:
-    """The resolved config ``run_experiment`` wrote to ``out_dir/config.json``."""
-    path = Path(out_dir) / "config.json"
-    if not path.is_file():
-        raise CdgmError(f"no {path}; it is written by the experiment run")
-    return ExperimentConfig(**json.loads(path.read_text()))
-
-
-def load_replicates(out_dir) -> list[dict]:
-    paths = sorted(Path(out_dir).glob("replicate_*.json"))
-    return [json.loads(p.read_text()) for p in paths]
+def load_run(out_dir) -> tuple[ExperimentConfig, list[dict]]:
+    """The resolved config ``run_experiment`` wrote to ``out_dir/config.json``
+    and its replicates' JSONs: replicate i of ``replicates`` from its own
+    file, holding its index and seed. Replicate files of another run left
+    in the directory are not read."""
+    out = Path(out_dir)
+    if not (out / "config.json").is_file():
+        raise CdgmError(f"no {out / 'config.json'}; it is written by the experiment run")
+    cfg = ExperimentConfig(**json.loads((out / "config.json").read_text()))
+    reps = []
+    for index, seed in enumerate(cfg.seeds):
+        path = out / REPLICATE_JSON.format(index)
+        if not path.is_file():
+            raise CdgmError(f"no {path}; config.json lists {cfg.replicates} replicates")
+        rep = json.loads(path.read_text())
+        if (rep.get("replicate"), rep.get("seed")) != (index, seed):
+            raise CdgmError(f"{path} holds replicate {rep.get('replicate')} (seed "
+                            f"{rep.get('seed')}), not replicate {index} (seed {seed})")
+        reps.append(rep)
+    return cfg, reps

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ShapeMismatch, StaleCache
-from .numerics import SeededRng, run_pair
+from .errors import NonFiniteGradient, ShapeMismatch
+from .numerics import run_pair
 
 PARAMS_MAGIC = "CDGM-PARAMS-1"
 ADAM_CHUNK = 65536  # optimizer entries updated per pass: 512 KiB per array
@@ -105,18 +105,18 @@ class ParamSet:
         return ParamSet(self.spec, self.flat.copy())
 
 
-def init_params(spec: MlpSpec, rng: SeededRng) -> ParamSet:
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     params = ParamSet(spec)
     for (w, b), (fan_in, fan_out) in zip(params.layers(), params.dims):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w[...] = rng.generator.uniform(-bound, bound, (fan_in, fan_out))
+        w[...] = rng.uniform(-bound, bound, (fan_in, fan_out))
         b[...] = 0.0
     return params
 
 
 def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
-            rng: SeededRng | None = None, out: np.ndarray | None = None):
+            rng: np.random.Generator | None = None, out: np.ndarray | None = None):
     """Batched forward pass; returns (outputs, cache for backward).
 
     With ``training=False`` dropout is disabled and the pass is a pure
@@ -161,7 +161,7 @@ def forward(spec: MlpSpec, params: ParamSet, Z, training: bool = False,
             h *= mask
             relu_masks.append(mask)
             if use_dropout:
-                keep = rng.generator.random(h.shape) >= spec.dropout
+                keep = rng.random(h.shape) >= spec.dropout
                 h *= keep
                 h /= 1.0 - spec.dropout
                 drop_masks.append(keep)
@@ -187,7 +187,7 @@ def backward(cache, grad_outputs) -> np.ndarray:
     """
     g = np.asarray(grad_outputs, dtype=np.float64)
     if g.shape != cache["out_shape"]:
-        raise StaleCache(f"gradient shape {g.shape} does not match cached {cache['out_shape']}")
+        raise ShapeMismatch(f"gradient shape {g.shape} does not match cached {cache['out_shape']}")
     spec = cache["spec"]
     dims = cache["dims"]
     grads = np.empty(spec.n_params)  # every cell is written below
@@ -250,13 +250,10 @@ def _layer_grads(h_in, g, gw, gb, lo=0, hi=None):
 
 @dataclass
 class OptimState:
-    """Adaptive-moment optimizer state plus step-decay schedule constants."""
+    """Adaptive-moment optimizer state and its gradient clip norm."""
 
-    base_lr: float
     n_params: int
     clip_norm: float
-    lr_step: int
-    lr_decay: float
     step_count: int = field(default=0, init=False)
     m: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
@@ -267,13 +264,6 @@ class OptimState:
         self.v = np.zeros(self.n_params)
         # (half of the update, pass array, entry): one workspace per thread
         self.scratch = np.empty((2, 2, min(self.n_params, ADAM_CHUNK)))
-
-
-def scheduled_lr(state: OptimState, epoch: int) -> float:
-    """Step decay: base * decay^floor(epoch / step)."""
-    if epoch < 0:
-        raise ShapeMismatch("epoch must be >= 0")
-    return state.base_lr * state.lr_decay ** (epoch // state.lr_step)
 
 
 def optimizer_step(params: ParamSet, gradients: np.ndarray, state: OptimState,

@@ -1,7 +1,7 @@
 """Dense linear algebra, seeded sampling and two-thread primitives.
 
 Matrices are plain float64 numpy arrays in row-major order. Randomness is
-routed exclusively through :class:`SeededRng` so that every draw in the
+routed exclusively through :func:`seeded_rng` so that every draw in the
 package is a pure function of ``(seed, stream)``. :func:`run_pair` runs
 two independent pieces of work on two threads.
 """
@@ -9,7 +9,6 @@ two independent pieces of work on two threads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,26 +17,14 @@ from .errors import NotPositiveDefinite, ShapeMismatch
 PIVOT_FLOOR = 1e-12
 
 
-@dataclass
-class SeededRng:
+def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic random stream identified by (seed, stream).
 
     The same pair always yields the same sequence, across runs and
-    platforms. A value is single-owner while draws are in flight; create
-    another stream of the same seed instead of sharing one generator.
+    platforms. A generator is single-owner while draws are in flight;
+    create another stream of the same seed instead of sharing one.
     """
-
-    seed: int
-    stream: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 def cholesky(m) -> np.ndarray:
@@ -66,7 +53,7 @@ def cholesky(m) -> np.ndarray:
     return low
 
 
-def sample_from_precision(theta, count: int, rng: SeededRng) -> np.ndarray:
+def sample_from_precision(theta, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. rows from N(0, theta^{-1}).
 
     Uses x = L^{-T} u with theta = L L^T and u standard normal: one
@@ -80,7 +67,7 @@ def sample_from_precision(theta, count: int, rng: SeededRng) -> np.ndarray:
     """
     low = cholesky(theta)
     p = low.shape[0]
-    u = rng.generator.standard_normal((count, p))
+    u = rng.standard_normal((count, p))
     # Solve L^T x^T = u^T  =>  x = u L^{-1} stacked row-wise.
     return np.linalg.solve(low.T, u.T).T
 

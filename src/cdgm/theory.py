@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, MarginViolated
+from .errors import DomainError
 
 
 @dataclass
@@ -137,8 +137,8 @@ def edge_recovery_bound(b: BoundInputs, approx_error: float) -> float:
     _require(0.0 < b.eta < 1.0, "eta must lie in (0, 1)")
     _require(b.eigen_floor > 0, "eigenvalue floor must be positive")
     _require(approx_error >= 0.0, "approximation error must be nonnegative")
-    if b.strong_min <= b.weak_max:
-        raise MarginViolated(f"strong floor {b.strong_min} <= weak ceiling {b.weak_max}")
+    _require(b.strong_min > b.weak_max,
+             f"strong floor {b.strong_min} <= weak ceiling {b.weak_max}")
     margin_sq = (b.strong_min - b.weak_max) ** 2
     min_w = min(b.eta ** 2, (1.0 - b.eta) ** 2)
     term1 = (

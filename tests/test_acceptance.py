@@ -14,7 +14,7 @@ import pytest
 
 import cdgm.neuralnet as nn
 from cdgm import baselines, datagen, estimator, harness, metrics, theory
-from cdgm.numerics import SeededRng, sample_from_precision
+from cdgm.numerics import sample_from_precision, seeded_rng
 
 SEED = 11
 
@@ -132,7 +132,7 @@ def test_c06_gradient_oracle():
         z = gen.normal(size=(6, q))
         w = gen.normal(size=(6, out_dim))
         while True:  # keep every pre-activation clear of the ReLU kink
-            params = nn.init_params(spec, SeededRng(param_seed, 0))
+            params = nn.init_params(spec, seeded_rng(param_seed, 0))
             param_seed += 1
             if _min_preactivation_margin(spec, params, z) > 1e-3:
                 break
@@ -157,7 +157,7 @@ def test_c06_gradient_oracle():
 
 def test_c07_sampler_oracle():
     theta = datagen.banded_precision(10, 1, 1.0, 0.45)
-    draws = sample_from_precision(theta, 200_000, SeededRng(SEED, 1))
+    draws = sample_from_precision(theta, 200_000, seeded_rng(SEED, 1))
     emp = draws.T @ draws / len(draws)
     err = float(np.abs(emp - np.linalg.inv(theta)).max())
     _report("c07_sampler_oracle", err < 0.05, f"max abs covariance error {err:.4f} (<0.05)")
@@ -223,7 +223,7 @@ def test_c09_metric_oracles():
 
 def test_c10_lasso_kkt_along_full_path():
     theta = datagen.banded_precision(10, 1, 1.0, 0.45)
-    x = sample_from_precision(theta, 500, SeededRng(SEED, 2))
+    x = sample_from_precision(theta, 500, seeded_rng(SEED, 2))
     scale = np.sqrt(np.mean(x * x, axis=0))
     xs = x / scale
     worst = 0.0

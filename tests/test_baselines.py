@@ -4,7 +4,7 @@ import pytest
 from cdgm import baselines, datagen, metrics
 from cdgm.errors import CdgmError, ShapeMismatch
 from cdgm.graphops import symmetric_scores
-from cdgm.numerics import SeededRng, sample_from_precision
+from cdgm.numerics import sample_from_precision, seeded_rng
 
 
 def test_soft_threshold():
@@ -122,7 +122,7 @@ def test_nodewise_rejects_non_finite_design():
 
 
 def test_nodewise_independent_columns_stay_sparse():
-    x = sample_from_precision(np.eye(6), 2000, SeededRng(7, 0))
+    x = sample_from_precision(np.eye(6), 2000, seeded_rng(7, 0))
     path = baselines.nodewise_lasso_graphs(x, n_lambdas=8, lambda_min_ratio=0.05)
     mid = path.graphs[3]
     assert np.abs(mid).max() < 0.12  # no conditional dependence to find
@@ -143,7 +143,7 @@ def _best_over_path(path, truths, metric):
 
 def test_nodewise_recovers_banded_support():
     theta = datagen.banded_precision(8, 1, 1.0, 0.45)
-    x = sample_from_precision(theta, 6000, SeededRng(8, 0))
+    x = sample_from_precision(theta, 6000, seeded_rng(8, 0))
     path = baselines.nodewise_lasso_graphs(x, n_lambdas=20)
     truth = np.abs(theta) > 1e-10
     np.fill_diagonal(truth, False)
@@ -180,7 +180,7 @@ def test_best_over_path_single_and_tie_rules():
 def test_best_over_path_matches_exhaustive_scan():
     gen = np.random.default_rng(9)
     theta = datagen.banded_precision(6, 1, 1.0, 0.4)
-    x = sample_from_precision(theta, 1500, SeededRng(10, 0))
+    x = sample_from_precision(theta, 1500, seeded_rng(10, 0))
     path = baselines.nodewise_lasso_graphs(x, n_lambdas=12)
     truth = np.abs(theta) > 1e-10
     np.fill_diagonal(truth, False)
@@ -194,7 +194,7 @@ def test_best_over_path_matches_exhaustive_scan():
 def test_nodewise_single_graph_for_all_samples():
     # the baseline is covariate-independent: one path of graphs regardless
     # of which sample is being scored
-    x = sample_from_precision(datagen.banded_precision(5, 1, 1.0, 0.3), 400, SeededRng(11, 0))
+    x = sample_from_precision(datagen.banded_precision(5, 1, 1.0, 0.3), 400, seeded_rng(11, 0))
     path = baselines.nodewise_lasso_graphs(x, n_lambdas=5)
     assert len(path.graphs) == 5
     assert all(g.shape == (5, 5) for g in path.graphs)
@@ -231,7 +231,7 @@ def _scalar_lasso_cd(x, y, lam, b, tol=1e-10):
 def test_stacked_path_matches_scalar_reference():
     # every node's path equals the one-regression loop, up to summation order
     theta = datagen.banded_precision(7, 2, 1.0, 0.3)
-    x = sample_from_precision(theta, 300, SeededRng(12, 0))
+    x = sample_from_precision(theta, 300, seeded_rng(12, 0))
     path = baselines.nodewise_lasso_graphs(x, n_lambdas=10)
     scale = np.sqrt(np.mean(x * x, axis=0))
     xs = x / scale
@@ -249,7 +249,7 @@ def test_stacked_path_matches_scalar_reference():
 
 
 def test_nodewise_counts_nonconverged_regressions():
-    x = sample_from_precision(datagen.banded_precision(6, 1, 1.0, 0.4), 300, SeededRng(13, 0))
+    x = sample_from_precision(datagen.banded_precision(6, 1, 1.0, 0.4), 300, seeded_rng(13, 0))
     assert baselines.nodewise_lasso_graphs(x, n_lambdas=8).nonconverged == 0
     capped = baselines.nodewise_lasso_graphs(x, n_lambdas=8, max_iter=1)
     assert 0 < capped.nonconverged <= 6 * 8
@@ -287,7 +287,7 @@ def test_nodewise_path_at_canonical_g1_dimensions():
 def test_best_over_path_per_sample_values():
     theta = datagen.banded_precision(6, 1, 1.0, 0.4)
     path = baselines.nodewise_lasso_graphs(
-        sample_from_precision(theta, 800, SeededRng(14, 0)), n_lambdas=8)
+        sample_from_precision(theta, 800, seeded_rng(14, 0)), n_lambdas=8)
     band = np.abs(theta) > 1e-10
     np.fill_diagonal(band, False)
     wide = band | (np.abs(datagen.banded_precision(6, 2, 1.0, 0.4)) > 1e-10)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cdgm import datagen
 from cdgm.errors import CyclicGraph, ShapeMismatch
-from cdgm.numerics import SeededRng, cholesky
+from cdgm.numerics import cholesky, seeded_rng
 
 
 # --- candidate precision matrices ---------------------------------------
@@ -150,13 +150,13 @@ def test_npn_preserves_order(xs):
 
 
 def test_tree_two_nodes():
-    a = datagen.random_tree_dag(2, SeededRng(0, 0))
+    a = datagen.random_tree_dag(2, seeded_rng(0, 0))
     assert np.array_equal(a, [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_tree_structure_properties():
     for seed in range(10):
-        a = datagen.random_tree_dag(17, SeededRng(seed, 0))
+        a = datagen.random_tree_dag(17, seeded_rng(seed, 0))
         assert a.sum() == 16  # p-1 edges
         support = a != 0
         assert support.sum(axis=1).max() <= 1  # each node at most one parent
@@ -173,8 +173,7 @@ def test_topological_order_detects_cycles():
 
 
 def _mixed_dag(spec, z):
-    """The weighted DAG the SEM runs on at covariate ``z`` (before any
-    transposed reading)."""
+    """The weighted DAG the SEM runs on at covariate ``z``."""
     w, _ = _weights(spec, z)
     b1, b2 = spec.candidates
     return w[0] * b1 + w[1] * b2
@@ -373,6 +372,7 @@ def test_d_setting_truth_is_moralized_support():
     for z in ds.Z:
         support = _mixed_dag(spec, z) != 0
         assert np.array_equal(datagen.truth_skeleton(spec, z), datagen.moralize(support))
+        assert np.array_equal(datagen.truth_skeleton(spec, z), _nx_moral_graph(support))
         w, _ = _weights(spec, z)
         if w[0] > 0 and w[1] > 0:
             assert np.array_equal(support, union)
@@ -390,18 +390,6 @@ def _nx_moral_graph(a) -> np.ndarray:
     for j, k in nx.moral_graph(dag).edges():
         skel[j, k] = skel[k, j] = True
     return skel
-
-
-@pytest.mark.parametrize("setting", ["D1", "D2"])
-def test_transposed_truth_is_moral_graph_of_the_simulated_dag(setting):
-    # With transpose_coeffs the SEM runs on the transposed mixed DAG, so
-    # the truth must be that DAG's moral graph, in D1 as in D2.
-    spec = datagen.make_setting(setting, seed=3, transpose_coeffs=True)
-    assert spec.p == 50
-    Z = datagen.generate_dataset(spec, 60, (60, 0, 0)).Z
-    for z in Z:
-        assert np.array_equal(datagen.truth_skeleton(spec, z),
-                              _nx_moral_graph(_mixed_dag(spec, z).T))
 
 
 def test_every_gaussian_theta_is_pd():
@@ -429,9 +417,9 @@ def test_dataset_roundtrip(tmp_path):
 @pytest.mark.parametrize("setting,options", [
     ("G1", dict(diag_value=1.3, offdiag_value=0.35)),
     ("G2", dict(block_size=20, rbf_terms=6, diag_value=1.5, offdiag_value=0.3)),
-    ("N1", dict(p=9, transpose_coeffs=True)),
+    ("N1", dict(p=9)),
     ("N2", dict(block_size=5, rbf_terms=3)),
-    ("D1", dict(p=11, noise_sd=0.7, transpose_coeffs=True)),
+    ("D1", dict(p=11, noise_sd=0.7)),
     ("D2", dict(noise_sd=1.4, block_size=2))])
 def test_dataset_roundtrip_keeps_every_generator_option(tmp_path, setting, options):
     spec = datagen.make_setting(setting, seed=3, **options)
@@ -440,9 +428,8 @@ def test_dataset_roundtrip_keeps_every_generator_option(tmp_path, setting, optio
     meta = json.loads((tmp_path / "d" / "meta.json").read_text())
     assert list(meta) == ["setting", "n", "p", "q", "seed", "splits", "generator",
                           "resample_count"]
-    assert list(meta["generator"]) == ["setting_seed", "diag_value", "offdiag_value",
-                                       "block_size", "rbf_terms", "noise_sd",
-                                       "transpose_coeffs"]
+    assert list(meta["generator"]) == ["diag_value", "offdiag_value", "block_size",
+                                       "rbf_terms", "noise_sd"]
     back = datagen.load_dataset(tmp_path / "d").spec
     for name in ("setting", "seed", "q") + datagen.GENERATOR_OPTIONS:
         assert getattr(back, name) == getattr(spec, name), name
@@ -486,6 +473,30 @@ def test_load_dataset_rejects_non_finite_values(tmp_path, name, bad):
         datagen.load_dataset(tmp_path / "d")
 
 
+def test_load_dataset_reads_the_top_level_seed(tmp_path):
+    # the seed is stored once; an edited seed used to be ignored for generator.setting_seed
+    spec = datagen.make_setting("G1", seed=7, p=6)
+    datagen.save_dataset(datagen.generate_dataset(spec, 50, (30, 10, 10)), tmp_path / "d")
+    meta_path = tmp_path / "d" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["seed"] = 99
+    meta_path.write_text(json.dumps(meta))
+    assert datagen.load_dataset(tmp_path / "d").spec.seed == 99
+
+
+@pytest.mark.parametrize("key", ["setting_seed", "transpose_coeffs", "p", "noise"])
+def test_load_dataset_rejects_an_undeclared_generator_key(tmp_path, key):
+    # setting_seed and transpose_coeffs are what older meta.json files hold
+    spec = datagen.make_setting("G1", seed=7, p=6)
+    datagen.save_dataset(datagen.generate_dataset(spec, 50, (30, 10, 10)), tmp_path / "d")
+    meta_path = tmp_path / "d" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["generator"][key] = 7
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ShapeMismatch, match=f"meta.json: 'generator' holds '{key}'"):
+        datagen.load_dataset(tmp_path / "d")
+
+
 @pytest.mark.parametrize("splits", [(60, 30, 60), (-10, 70, 60)])
 def test_load_dataset_rejects_splits_that_do_not_cover_n(tmp_path, splits):
     # 60/30/60 on 120 rows used to load with a 30-row test split
@@ -507,18 +518,6 @@ def test_generate_dataset_rejects_splits_that_do_not_cover_n(splits):
     rule = r"^splits .* must be >= 0 and sum to 100 as integers$"
     with pytest.raises(ShapeMismatch, match=rule):
         datagen.generate_dataset(spec, 100, splits)
-
-
-def test_transposed_coefficient_reading_runs_and_differs():
-    base = datagen.make_setting("D2", seed=14, p=8)
-    flipped = datagen.make_setting("D2", seed=14, p=8, transpose_coeffs=True)
-    ds_a = datagen.generate_dataset(base, 20, (20, 0, 0))
-    ds_b = datagen.generate_dataset(flipped, 20, (20, 0, 0))
-    assert np.array_equal(ds_a.Z, ds_b.Z)
-    assert not np.allclose(ds_a.X, ds_b.X)
-    z = ds_a.Z[0]
-    assert np.array_equal(datagen.truth_skeleton(flipped, z),
-                          datagen.moralize(_mixed_dag(base, z).T))
 
 
 @pytest.mark.parametrize("setting", ["G2", "N2"])

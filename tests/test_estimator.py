@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import cdgm.neuralnet as nn
 from cdgm import datagen, estimator
 from cdgm.errors import ShapeMismatch
-from cdgm.numerics import SeededRng
+from cdgm.numerics import seeded_rng
 
 
 def linear_model(p, q, weights=None, bias=None):
@@ -109,7 +109,7 @@ def test_train_zero_lr_keeps_initialization():
     cfg = estimator.TrainConfig(epochs=1, batch_size=32, base_lr=0.0, seed=5,
                                 family="dnn", block1=(4,), block2=(3,), dropout=0.1)
     model, hist = estimator.train(ds, cfg)
-    fresh = nn.init_params(model.spec, SeededRng(5, 0))
+    fresh = nn.init_params(model.spec, seeded_rng(5, 0))
     assert np.array_equal(model.params.flat, fresh.flat)
     assert len(hist.train_loss) == 1 and len(hist.val_loss) == 1
 
@@ -132,7 +132,7 @@ def test_train_snapshot_never_worse_than_initialization():
     Xval, Zval = ds.part("val")
     init_model = estimator.CdgmModel(
         p=model.p, q=model.q, spec=model.spec,
-        params=nn.init_params(model.spec, SeededRng(1, 0)))
+        params=nn.init_params(model.spec, seeded_rng(1, 0)))
     ws = np.empty((len(Xval), model.p * (model.p - 1)))
     init_val = estimator._validation_mse(init_model, Xval, Zval, ws)
     final_val = estimator._validation_mse(model, Xval, Zval, ws)
@@ -225,7 +225,7 @@ def test_estimate_graphs_linear_head_exact_negation():
 def test_model_roundtrip(tmp_path):
     gen = np.random.default_rng(6)
     spec = nn.MlpSpec(input_dim=2, block1=(5,), block2=(4,), output_dim=12, dropout=0.2)
-    params = nn.init_params(spec, SeededRng(2, 0))
+    params = nn.init_params(spec, seeded_rng(2, 0))
     model = estimator.CdgmModel(p=4, q=2, spec=spec, params=params)
     estimator.save_model(model, tmp_path / "m")
     back = estimator.load_model(tmp_path / "m")

@@ -331,6 +331,45 @@ def test_cli_experiment_and_report(tmp_path, capsys):
     assert ",0.0123456789," in report
 
 
+def test_cli_report_reads_only_the_runs_own_replicates(tmp_path, capsys):
+    # a 3-replicate run, then a 1-replicate run into the same directory: the
+    # rebuilt report used to hold the first run's replicates 1 and 2 as well
+    out = tmp_path / "exp"
+    cfg = _tiny_config(tmp_path, replicates=3, seeds=(1, 2, 3), methods=("nodewise-lasso",),
+                       out_dir=str(out), lasso=dict(n_lambdas=4))
+    harness.run_experiment(cfg)
+    harness.run_experiment(_tiny_config(tmp_path, seeds=(9,), methods=("nodewise-lasso",),
+                                        out_dir=str(out), lasso=dict(n_lambdas=4)))
+    report = (out / "report.csv").read_text()
+    assert len(report.splitlines()) == 1 + len(cfg.thresholds)
+    assert cli.main(["report", "--dir", str(out)]) == 0
+    rebuilt = (out / "report.csv").read_text()
+    assert [r.rsplit(",", 1)[0] for r in rebuilt.splitlines()] == \
+        [r.rsplit(",", 1)[0] for r in report.splitlines()]
+    capsys.readouterr()
+    # replicate 0's file holds another run's replicate, or is missing
+    rep = json.loads((out / "replicate_001.json").read_text())
+    (out / "replicate_000.json").write_text(json.dumps(rep))
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    assert "replicate_000.json holds replicate 1 (seed 2)" in capsys.readouterr().err
+    (out / "replicate_000.json").unlink()
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    assert "replicate_000.json" in capsys.readouterr().err
+    assert (out / "report.csv").read_text() == rebuilt
+
+
+def test_cli_eval_and_baseline_reject_pseudo_moral_off_d_settings(g1_model, tmp_path, capsys):
+    # G1 truth has no moral graph: --pseudo-moral used to change nothing and exit 0
+    data, model = g1_model
+    for argv in (["eval", "--model", str(model)], ["baseline"]):
+        rc = cli.main([*argv, "--data", str(data), "--out", str(tmp_path / "r"),
+                       "--pseudo-moral"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: pseudo_moral applies to D settings only, not G1")
+        assert not (tmp_path / "r").exists()
+
+
 def test_cli_report_needs_run_config(tmp_path):
     cfg_file = _write_experiment_config(tmp_path / "exp.cfg", tmp_path / "exp")
     assert cli.main(["experiment", "--config", str(cfg_file)]) == 0
@@ -459,12 +498,18 @@ def test_cli_config_rejects_bad_generator_option_at_canonical_p(tmp_path, settin
     (("methods = reggmm, nodewise-lasso", "n_test = 0"), "reggmm needs n_val and n_test >= 1"),
     # a generator option the setting does not read
     (("gen.noise_sd = 1",), "G1 does not read gen.noise_sd"),
-    (("setting = G2", "gen.transpose_coeffs = true"), "G2 does not read gen.transpose_coeffs"),
+    (("setting = G2", "gen.noise_sd = 2"), "G2 does not read gen.noise_sd"),
     (("setting = N1", "gen.rbf_terms = 4"), "N1 does not read gen.rbf_terms"),
     (("setting = D1", "gen.offdiag_value = 0.3"), "D1 does not read gen.offdiag_value"),
     # thresholds whose report keys coincide: the second would overwrite the first
     (("thresholds = 0.1, 0.10000001",), "thresholds need distinct report keys"),
-    (("thresholds = 0.05, 0.05",), "thresholds need distinct report keys")])
+    (("thresholds = 0.05, 0.05",), "thresholds need distinct report keys"),
+    # a key given twice: the second value used to replace the first silently
+    (("n_train = 200", "n_train = 150"), "config key 'n_train' is given twice"),
+    (("dnn.lr = 0.1", "dnn.lr = 0.0"), "config key 'dnn.lr' is given twice"),
+    # pseudo-moral truth outside the D settings, whose truth has no moral graph
+    (("pseudo_moral = true",), "pseudo_moral applies to D settings only, not G1"),
+    (("setting = N2", "pseudo_moral = true"), "pseudo_moral applies to D settings only, not N2")])
 def test_cli_config_that_does_nothing_or_repeats_exits_one(tmp_path, lines, message):
     out = tmp_path / "run"
     cfg_file = _write_experiment_config(tmp_path / "bad.cfg", out, *lines)
@@ -483,7 +528,7 @@ def test_cli_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["dnn.epoch = 2", "lasso.n_lambda = 5", "gen.pp = 6",
-                                  "gen.seed = 3"])
+                                  "gen.seed = 3", "dnn.base_lr = 0.0"])
 def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
     out = tmp_path / "run"
     cfg_file = tmp_path / "typo.cfg"
@@ -516,15 +561,13 @@ def test_cli_config_rejects_unknown_dotted_key(tmp_path, line):
                                           ("dnn.family = linear", "dnn.family"),
                                           ("dnn.shuffle = false", "dnn.shuffle"),
                                           ("pseudo_moral = maybe", "pseudo_moral"),
-                                          ("gen.transpose_coeffs = maybe", "gen.transpose_coeffs"),
+                                          ("pseudo_moral = 1", "pseudo_moral"),
                                           ("n_train = -5", "n_train"),
                                           ("seeds = -1", "seeds"),
                                           ("methods = nodewise-lasso\ngen.p = abc", "gen.p")])
 def test_cli_config_rejects_invalid_dnn_value_before_generating(tmp_path, line, message):
     out = tmp_path / "run"
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(f"setting = G1\nn_train = 40\nn_val = 10\nn_test = 10\n"
-                        f"gen.p = 6\nmethods = dnn\nout_dir = {out}\n{line}\n")
+    cfg_file = _write_experiment_config(tmp_path / "bad.cfg", out, *line.split("\n"))
     proc = subprocess.run([sys.executable, "-m", "cdgm.cli", "experiment", "--config",
                            str(cfg_file)], capture_output=True, text=True)
     assert proc.returncode == 1
@@ -568,7 +611,7 @@ import cdgm.harness
 from cdgm import datagen, numerics, theory
 for setting in ("G1", "G2", "N2"):
     datagen.generate_dataset(datagen.make_setting(setting, seed=1), 40, (20, 10, 10))
-numerics.sample_from_precision(np.eye(3), 5, numerics.SeededRng(0))
+numerics.sample_from_precision(np.eye(3), 5, numerics.seeded_rng(0))
 theory.network_size_for_rate(2.0, 3, 0.1)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -587,11 +630,11 @@ def test_cli_config_accepts_documented_dotted_keys(tmp_path):
     cfg_file = tmp_path / "ok.cfg"
     cfg_file.write_text("setting = D2\ndnn.lr = 0.001\ndnn.block1 = 8,4\ndnn.epochs = 2\n"
                         "lasso.n_lambdas = 4\nlasso.export_paths = true\n"
-                        "gen.p = 6\ngen.transpose_coeffs = true\n")
+                        "gen.p = 6\ngen.noise_sd = 0.5\n")
     cfg = cli.parse_config_file(cfg_file)
     assert cfg.dnn == {"base_lr": 0.001, "block1": (8, 4), "epochs": 2}
     assert cfg.lasso == {"n_lambdas": 4, "export_paths": True}
-    assert cfg.generator == {"p": 6, "transpose_coeffs": True}
+    assert cfg.generator == {"p": 6, "noise_sd": 0.5}
 
 
 def test_cli_runtime_failure_exits_two(tmp_path):

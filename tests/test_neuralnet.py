@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import cdgm.neuralnet as nn
-from cdgm.errors import NonFiniteGradient, ShapeMismatch, StaleCache
-from cdgm.numerics import SeededRng
+from cdgm import estimator
+from cdgm.errors import NonFiniteGradient, ShapeMismatch
+from cdgm.numerics import seeded_rng
 
 
 def small_spec(dropout=0.0):
@@ -35,7 +36,7 @@ def test_forward_zero_params_zero_output():
 
 def test_forward_pure_linear_head_matches_hand_computation():
     spec = nn.MlpSpec(input_dim=2, block1=(), block2=(), output_dim=3)
-    params = nn.init_params(spec, SeededRng(0, 0))
+    params = nn.init_params(spec, seeded_rng(0, 0))
     w, b = params.layers()[0]
     z = np.array([[0.5, -1.5], [2.0, 0.25]])
     out, _ = nn.forward(spec, params, z)
@@ -52,11 +53,11 @@ def test_forward_shape_mismatch():
 def test_forward_into_out_matches_fresh_outputs_bit_for_bit(training):
     spec = nn.MlpSpec(input_dim=2, block1=(128, 64), block2=(128,), output_dim=2450,
                       dropout=0.3)
-    params = nn.init_params(spec, SeededRng(4, 0))
+    params = nn.init_params(spec, seeded_rng(4, 0))
     z = np.random.default_rng(5).normal(size=(300, 2))
-    fresh, cache = nn.forward(spec, params, z, training=training, rng=SeededRng(6, 2))
+    fresh, cache = nn.forward(spec, params, z, training=training, rng=seeded_rng(6, 2))
     buf = np.full((300, 2450), np.nan)
-    out, buf_cache = nn.forward(spec, params, z, training=training, rng=SeededRng(6, 2), out=buf)
+    out, buf_cache = nn.forward(spec, params, z, training=training, rng=seeded_rng(6, 2), out=buf)
     assert out is buf
     assert np.array_equal(out, fresh)
     g = np.random.default_rng(7).normal(size=fresh.shape)
@@ -69,7 +70,7 @@ def test_head_split_by_columns_matches_whole_products_bit_for_bit(monkeypatch, f
     # A head that is the whole network, like the linear family's: forward and
     # backward both split it. Each result must equal one whole product.
     spec = nn.MlpSpec(input_dim=fan_in, block1=(), block2=(), output_dim=n_out)
-    params = nn.init_params(spec, SeededRng(21, 0))
+    params = nn.init_params(spec, seeded_rng(21, 0))
     w, b = params.layers()[0]
     b[...] = np.random.default_rng(22).normal(size=n_out)
     pairs = []
@@ -101,9 +102,9 @@ def test_forward_rejects_out_it_would_copy_into(bad):
 
 def test_dropout_mask_recomputation():
     spec = small_spec(dropout=0.3)
-    params = nn.init_params(spec, SeededRng(1, 0))
+    params = nn.init_params(spec, seeded_rng(1, 0))
     z = np.random.default_rng(2).normal(size=(8, 3))
-    out, cache = nn.forward(spec, params, z, training=True, rng=SeededRng(3, 0))
+    out, cache = nn.forward(spec, params, z, training=True, rng=seeded_rng(3, 0))
     # replay the pass from the cached masks
     h = z
     layers = params.layers()
@@ -121,7 +122,7 @@ def test_dropout_mask_recomputation():
 
 def test_dropout_requires_rng_and_eval_is_deterministic():
     spec = small_spec(dropout=0.5)
-    params = nn.init_params(spec, SeededRng(1, 0))
+    params = nn.init_params(spec, seeded_rng(1, 0))
     z = np.zeros((2, 3))
     with pytest.raises(ShapeMismatch):
         nn.forward(spec, params, z, training=True)
@@ -140,7 +141,7 @@ def test_dropout_preserves_expectation_for_positive_linear_net():
         b[...] = 0.1
     z = np.abs(np.random.default_rng(5).normal(size=(3, 2))) + 0.1
     eval_out, _ = nn.forward(spec, params, z, training=False)
-    rng = SeededRng(6, 0)
+    rng = seeded_rng(6, 0)
     acc = np.zeros_like(eval_out)
     n_draws = 20_000
     for _ in range(n_draws):
@@ -151,7 +152,7 @@ def test_dropout_preserves_expectation_for_positive_linear_net():
 
 def test_backward_zero_upstream_gives_zero_grads():
     spec = small_spec()
-    params = nn.init_params(spec, SeededRng(2, 0))
+    params = nn.init_params(spec, seeded_rng(2, 0))
     out, cache = nn.forward(spec, params, np.random.default_rng(1).normal(size=(4, 3)))
     grads = nn.backward(cache, np.zeros_like(out))
     assert np.array_equal(grads, np.zeros_like(params.flat))
@@ -159,7 +160,7 @@ def test_backward_zero_upstream_gives_zero_grads():
 
 def test_backward_linear_layer_matches_closed_form():
     spec = nn.MlpSpec(input_dim=3, block1=(), block2=(), output_dim=2)
-    params = nn.init_params(spec, SeededRng(3, 0))
+    params = nn.init_params(spec, seeded_rng(3, 0))
     gen = np.random.default_rng(7)
     z = gen.normal(size=(20, 3))
     y = gen.normal(size=(20, 2))
@@ -186,7 +187,7 @@ def _finite_difference(spec, params, z, weights, h=1e-5):
 
 def test_gradient_matches_central_differences():
     spec = nn.MlpSpec(input_dim=3, block1=(4,), block2=(), output_dim=6)
-    params = nn.init_params(spec, SeededRng(4, 0))
+    params = nn.init_params(spec, seeded_rng(4, 0))
     gen = np.random.default_rng(8)
     z = gen.normal(size=(9, 3))
     weights = gen.normal(size=(9, 6))
@@ -199,18 +200,17 @@ def test_gradient_matches_central_differences():
 
 def test_backward_stale_cache():
     spec = small_spec()
-    params = nn.init_params(spec, SeededRng(5, 0))
+    params = nn.init_params(spec, seeded_rng(5, 0))
     out, cache = nn.forward(spec, params, np.zeros((4, 3)))
-    with pytest.raises(StaleCache):
+    with pytest.raises(ShapeMismatch, match="does not match cached"):
         nn.backward(cache, np.zeros((5, 6)))
 
 
 def test_optimizer_zero_gradient_keeps_params():
     spec = small_spec()
-    params = nn.init_params(spec, SeededRng(6, 0))
+    params = nn.init_params(spec, seeded_rng(6, 0))
     before = params.flat.copy()
-    state = nn.OptimState(base_lr=0.1, n_params=spec.n_params, clip_norm=1.0, lr_step=20,
-                          lr_decay=0.25)
+    state = nn.OptimState(n_params=spec.n_params, clip_norm=1.0)
     nn.optimizer_step(params, np.zeros_like(before), state, lr=0.1)
     assert np.array_equal(params.flat, before)
     assert state.step_count == 1
@@ -219,7 +219,7 @@ def test_optimizer_zero_gradient_keeps_params():
 def test_optimizer_clips_global_norm():
     spec = nn.MlpSpec(input_dim=1, block1=(), block2=(), output_dim=1)
     params = nn.ParamSet(spec)
-    state = nn.OptimState(base_lr=1.0, n_params=2, clip_norm=1.0, lr_step=20, lr_decay=0.25)
+    state = nn.OptimState(n_params=2, clip_norm=1.0)
     g = np.array([6.0, 8.0])  # norm 10 -> scaled by 0.1
     nn.optimizer_step(params, g, state, lr=1.0)
     assert np.allclose(state.m, 0.1 * np.array([0.6, 0.8]))
@@ -228,7 +228,7 @@ def test_optimizer_clips_global_norm():
 def test_optimizer_rejects_non_finite():
     spec = nn.MlpSpec(input_dim=1, block1=(), block2=(), output_dim=1)
     params = nn.ParamSet(spec)
-    state = nn.OptimState(base_lr=0.1, n_params=2, clip_norm=1.0, lr_step=20, lr_decay=0.25)
+    state = nn.OptimState(n_params=2, clip_norm=1.0)
     with pytest.raises(NonFiniteGradient):
         nn.optimizer_step(params, np.array([np.nan, 0.0]), state, lr=0.1)
 
@@ -237,7 +237,7 @@ def test_optimizer_converges_on_quadratic():
     # minimize (theta - 3)^2 with analytic gradient
     spec = nn.MlpSpec(input_dim=1, block1=(), block2=(), output_dim=1)
     params = nn.ParamSet(spec)
-    state = nn.OptimState(base_lr=0.1, n_params=2, clip_norm=np.inf, lr_step=20, lr_decay=0.25)
+    state = nn.OptimState(n_params=2, clip_norm=np.inf)
     for _ in range(200):
         g = np.array([2.0 * (params.flat[0] - 3.0), 0.0])
         nn.optimizer_step(params, g, state, lr=0.1)
@@ -245,18 +245,18 @@ def test_optimizer_converges_on_quadratic():
 
 
 def test_scheduled_lr_step_decay():
-    state = nn.OptimState(base_lr=0.0005, n_params=1, clip_norm=1.0, lr_step=20, lr_decay=0.25)
-    assert nn.scheduled_lr(state, 0) == 0.0005
-    assert nn.scheduled_lr(state, 19) == 0.0005
-    assert nn.scheduled_lr(state, 20) == pytest.approx(0.000125)
-    assert nn.scheduled_lr(state, 45) == pytest.approx(0.0005 * 0.25 ** 2)
+    cfg = estimator.TrainConfig(base_lr=0.0005, lr_step=20, lr_decay=0.25)
+    assert estimator.scheduled_lr(cfg, 0) == 0.0005
+    assert estimator.scheduled_lr(cfg, 19) == 0.0005
+    assert estimator.scheduled_lr(cfg, 20) == pytest.approx(0.000125)
+    assert estimator.scheduled_lr(cfg, 45) == pytest.approx(0.0005 * 0.25 ** 2)
     with pytest.raises(ShapeMismatch):
-        nn.scheduled_lr(state, -1)
+        estimator.scheduled_lr(cfg, -1)
 
 
 def test_gradient_invariant_to_batch_order():
     spec = small_spec()
-    params = nn.init_params(spec, SeededRng(7, 0))
+    params = nn.init_params(spec, seeded_rng(7, 0))
     gen = np.random.default_rng(9)
     z = gen.normal(size=(16, 3))
     gw = gen.normal(size=(16, 6))
@@ -270,7 +270,7 @@ def test_gradient_invariant_to_batch_order():
 
 def test_params_roundtrip(tmp_path):
     spec = small_spec()
-    params = nn.init_params(spec, SeededRng(8, 0))
+    params = nn.init_params(spec, seeded_rng(8, 0))
     path = tmp_path / "net.bin"
     nn.save_params(params, path)
     raw = path.read_bytes()
@@ -287,7 +287,7 @@ def test_params_roundtrip(tmp_path):
 def test_load_params_rejects_damaged_file(tmp_path, damage):
     spec = small_spec()
     path = tmp_path / "net.bin"
-    nn.save_params(nn.init_params(spec, SeededRng(8, 0)), path)
+    nn.save_params(nn.init_params(spec, seeded_rng(8, 0)), path)
     raw = path.read_bytes()
     head, body = raw.split(b"\n\n", 1)
     raw = {"no_blank_line": head + b"\n" + body,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdgm.errors import NotPositiveDefinite, ShapeMismatch
-from cdgm.numerics import SeededRng, cholesky, sample_from_precision
+from cdgm.numerics import cholesky, sample_from_precision, seeded_rng
 
 
 def test_cholesky_identity():
@@ -84,7 +84,7 @@ def test_cholesky_stack_checks_every_matrix():
 
 
 def test_sampler_identity_precision_covariance():
-    x = sample_from_precision(np.eye(4), 100_000, SeededRng(0, 9))
+    x = sample_from_precision(np.eye(4), 100_000, seeded_rng(0, 9))
     emp = x.T @ x / len(x)
     assert np.abs(emp - np.eye(4)).max() < 0.05
 
@@ -95,16 +95,16 @@ def test_sampler_banded_precision_matches_explicit_inverse():
     idx = np.arange(p - 1)
     theta[idx, idx + 1] = 0.4
     theta[idx + 1, idx] = 0.4
-    x = sample_from_precision(theta, 200_000, SeededRng(1, 2))
+    x = sample_from_precision(theta, 200_000, seeded_rng(1, 2))
     emp = x.T @ x / len(x)
     assert np.abs(emp - np.linalg.inv(theta)).max() < 0.05
 
 
 def test_sampler_deterministic_for_same_stream():
-    a = sample_from_precision(np.eye(3), 50, SeededRng(7, 3))
-    b = sample_from_precision(np.eye(3), 50, SeededRng(7, 3))
+    a = sample_from_precision(np.eye(3), 50, seeded_rng(7, 3))
+    b = sample_from_precision(np.eye(3), 50, seeded_rng(7, 3))
     assert np.array_equal(a, b)
-    c = sample_from_precision(np.eye(3), 50, SeededRng(7, 4))
+    c = sample_from_precision(np.eye(3), 50, seeded_rng(7, 4))
     assert not np.array_equal(a, c)
 
 
@@ -113,7 +113,7 @@ def test_sampler_error_shrinks_with_sample_size():
     truth = np.linalg.inv(theta)
 
     def err(n, stream):
-        x = sample_from_precision(theta, n, SeededRng(5, stream))
+        x = sample_from_precision(theta, n, seeded_rng(5, stream))
         return np.abs(x.T @ x / n - truth).max()
 
     small = np.median([err(4_000, s) for s in range(5)])
@@ -131,7 +131,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from cdgm.datagen import FACTOR_CHUNK
-from cdgm.numerics import SeededRng, cholesky, sample_from_precision
+from cdgm.numerics import cholesky, sample_from_precision, seeded_rng
 
 gen = np.random.default_rng(3)
 checked = differ = 0
@@ -147,8 +147,8 @@ for p in (1, 7, 50, 200):
     theta = a @ a.T + p * np.eye(p)
     low = cholesky(theta)
     for count in (1, 5, 200, 3000):
-        x = sample_from_precision(theta, count, SeededRng(p, count))
-        u = SeededRng(p, count).generator.standard_normal((count, p))
+        x = sample_from_precision(theta, count, seeded_rng(p, count))
+        u = seeded_rng(p, count).standard_normal((count, p))
         ref = solve_triangular(low.T, u.T, lower=False).T
         checked, differ = checked + 1, differ + (not np.array_equal(x, ref))
 print(checked, differ)

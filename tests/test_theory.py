@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdgm import theory
-from cdgm.errors import DomainError, MarginViolated
+from cdgm.errors import DomainError
 
 # reference values evaluated once with 50-digit arithmetic and frozen
 XI_LIP_A05 = 34.64288299156163563546
@@ -146,7 +146,7 @@ def test_edge_bound_diverges_as_margin_shrinks():
 
 
 def test_edge_bound_margin_violation():
-    with pytest.raises(MarginViolated):
+    with pytest.raises(DomainError, match="strong floor 0.4 <= weak ceiling 0.5"):
         theory.edge_recovery_bound(inputs(weak_max=0.5, strong_min=0.4), 0.0)
 
 

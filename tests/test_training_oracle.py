@@ -21,7 +21,7 @@ import pytest
 import cdgm.neuralnet as nn
 from cdgm import datagen, estimator, numerics
 from cdgm.errors import NonFiniteGradient
-from cdgm.numerics import SeededRng
+from cdgm.numerics import seeded_rng
 
 N_TRAIN, N_VAL, N_TEST = 300, 80, 60
 BATCH = 128  # leaves a partial last batch of 44
@@ -50,7 +50,7 @@ def _ref_forward(spec, params, Z, training=False, rng=None):
             h = pre * mask
             relu_masks.append(mask)
             if use_dropout:
-                keep = rng.generator.random(h.shape) >= spec.dropout
+                keep = rng.random(h.shape) >= spec.dropout
                 h = h * keep / (1.0 - spec.dropout)
                 drop_masks.append(keep)
             else:
@@ -133,20 +133,18 @@ def _ref_train(data, cfg):
     Xval, Zval = data.part("val")
     p, q = Xtr.shape[1], Ztr.shape[1]
     spec = estimator._network_spec(cfg, p, q)
-    params = nn.init_params(spec, SeededRng(cfg.seed, stream=0))
-    shuffle_rng = SeededRng(cfg.seed, stream=1)
-    dropout_rng = SeededRng(cfg.seed, stream=2)
-    state = nn.OptimState(base_lr=cfg.base_lr, n_params=spec.n_params,
-                          clip_norm=cfg.clip_norm, lr_step=cfg.lr_step,
-                          lr_decay=cfg.lr_decay)
+    params = nn.init_params(spec, seeded_rng(cfg.seed, stream=0))
+    shuffle_rng = seeded_rng(cfg.seed, stream=1)
+    dropout_rng = seeded_rng(cfg.seed, stream=2)
+    state = nn.OptimState(n_params=spec.n_params, clip_norm=cfg.clip_norm)
     jj, kk = estimator.offdiag_indices(p)
     best_val = init_val = _ref_validation_mse(spec, params, Xval, Zval)
     best_params, best_epoch = params.copy(), 0
     train_loss, val_loss = [], []
     n = Xtr.shape[0]
     for epoch in range(cfg.epochs):
-        lr = nn.scheduled_lr(state, epoch)
-        order = shuffle_rng.generator.permutation(n)
+        lr = cfg.base_lr * cfg.lr_decay ** (epoch // cfg.lr_step)
+        order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
@@ -239,15 +237,12 @@ def test_training_workspace_edge_cases(setting, family, n_train, batch):
 def _g1_network():
     spec = estimator._network_spec(estimator.default_train_config("G1"), p=50, q=2)
     assert spec.n_params == 333_266
-    return spec, nn.init_params(spec, SeededRng(11, stream=0))
+    return spec, nn.init_params(spec, seeded_rng(11, stream=0))
 
 
 def _adam_state(clip_norm=1.0):
-    """Fresh optimizer state for the G1 network, base lr 1e-3, on the
-    TrainConfig schedule."""
-    cfg = estimator.TrainConfig()
-    return nn.OptimState(base_lr=1e-3, n_params=333_266, clip_norm=clip_norm,
-                         lr_step=cfg.lr_step, lr_decay=cfg.lr_decay)
+    """Fresh optimizer state for the G1 network."""
+    return nn.OptimState(n_params=333_266, clip_norm=clip_norm)
 
 
 @pytest.mark.parametrize("setting,family", [("G1", "dnn"), ("G1", "linear"), ("D2", "dnn")])
@@ -255,15 +250,15 @@ def _adam_state(clip_norm=1.0):
 def test_forward_backward_match_frozen_kernels(setting, family, layout):
     cfg = estimator.default_train_config(setting, family=family)
     spec = estimator._network_spec(cfg, p=50, q=2)
-    params = nn.init_params(spec, SeededRng(11, stream=0))
+    params = nn.init_params(spec, seeded_rng(11, stream=0))
     gen = np.random.default_rng(12)
     for rows in (300, 512):  # at 512 the linear head's products split by columns too
         Z = gen.normal(size=(rows, 2))
         for training in (False, True):
             out, cache = nn.forward(spec, params, Z, training=training,
-                                    rng=SeededRng(13, stream=2))
+                                    rng=seeded_rng(13, stream=2))
             ref_out, ref_cache = _ref_forward(spec, params, Z, training=training,
-                                              rng=SeededRng(13, stream=2))
+                                              rng=seeded_rng(13, stream=2))
             assert np.array_equal(out, ref_out)
             grad_out = np.asarray(gen.normal(size=out.shape), order=layout)
             given = grad_out.copy(order="A")  # same layout: backward's sums depend on it
@@ -281,11 +276,12 @@ def test_adam_matches_frozen_step_for_40_steps(scale, clip_norm):
     spec, params = _g1_network()
     ref_params = params.copy()
     state, ref_state = _adam_state(clip_norm), _adam_state(clip_norm)
+    cfg = estimator.TrainConfig(base_lr=1e-3)  # the step sizes of its schedule
     gen = np.random.default_rng(14)
     for step in range(40):
         g = gen.normal(scale=scale, size=spec.n_params)
         given = g.copy()
-        lr = state.base_lr if step % 2 else nn.scheduled_lr(state, step)
+        lr = cfg.base_lr if step % 2 else estimator.scheduled_lr(cfg, step)
         nn.optimizer_step(params, g, state, lr=lr)
         _ref_optimizer_step(ref_params, given, ref_state, lr=lr)
         assert np.array_equal(g, given)  # the caller's gradient is left alone

@@ -12,7 +12,10 @@ and the benchmark workloads' configs
 whichever ``cdgm`` is importable, and prints one ``sha256  path``
 line per artifact: ``report.csv`` without its ``runtime_s`` column,
 ``summary.csv``, the histogram CSVs and the replicate JSONs without
-``runtime_s``. It then runs ``cdgm generate`` (a small G1 dataset),
+``runtime_s``. It rebuilds the c12 run's ``report.csv`` with ``cdgm
+report --dir`` and prints its digest as ``c12/report.csv (cdgm report)``;
+it stops if that digest differs from the run's own ``c12/report.csv``
+line. It then runs ``cdgm generate`` (a small G1 dataset),
 ``train --family linear``, ``eval --edge-list-tau`` and ``baseline
 --export-paths`` through ``cli.main`` and prints the digests of
 ``eval.json``, the eval's ``histogram.csv`` and ``baseline.json``, one
@@ -49,6 +52,7 @@ from cdgm import cli, harness  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1000, 2001)
+REBUILT = "c12"  # the run whose report ``cdgm report --dir`` rebuilds
 # Values whose type the config parser decides: floats written as integers,
 # an infinite clip norm, a one-layer block, and a false boolean.
 PARSED_CONFIG = """\
@@ -141,14 +145,12 @@ CLI_ARTIFACTS = ("eval/eval.json", "eval/histogram.csv", "baseline/baseline.json
 CLI_GROUPS = ("eval/edges/*.csv", "baseline/lasso_path_*.csv")
 
 
-def run_cli(root: Path) -> None:
-    """The ``CLI_RUN`` commands in order below ``root``, their stdout dropped."""
-    for command in CLI_RUN:
-        argv = [arg.format(root=root) for arg in command]
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(argv)
-        if rc != 0:
-            raise SystemExit(f"cdgm {command[0]} exited {rc}")
+def run_cli(argv) -> None:
+    """``cdgm argv``, its stdout dropped; a nonzero exit stops the tool."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"cdgm {argv[0]} exited {rc}")
 
 
 def deterministic_bytes(path: Path) -> bytes:
@@ -179,7 +181,15 @@ def main(argv=None) -> int:
             for fname in files:
                 digest = hashlib.sha256(deterministic_bytes(out / fname)).hexdigest()
                 print(f"{digest}  {name}/{fname}", flush=True)
-        run_cli(root / "cli")
+        written = deterministic_bytes(root / REBUILT / "report.csv")
+        run_cli(["report", "--dir", str(root / REBUILT)])
+        rebuilt = deterministic_bytes(root / REBUILT / "report.csv")
+        print(f"{hashlib.sha256(rebuilt).hexdigest()}  {REBUILT}/report.csv (cdgm report)",
+              flush=True)
+        if rebuilt != written:
+            raise SystemExit(f"cdgm report rebuilt {REBUILT}/report.csv with other bytes")
+        for command in CLI_RUN:
+            run_cli([arg.format(root=root / "cli") for arg in command])
         for fname in CLI_ARTIFACTS:
             digest = hashlib.sha256((root / "cli" / fname).read_bytes()).hexdigest()
             print(f"{digest}  cli/{fname}", flush=True)
