@@ -53,9 +53,9 @@ def _checked(make, **options):
 
 def _config_keys() -> dict[str, tuple[str | None, str, object]]:
     """Every config key as (override group or None, name, declared type):
-    the fields of ``ExperimentConfig``, ``TrainConfig`` (``dnn.*``, with
-    ``dnn.lr`` for ``base_lr``) and ``LassoConfig`` (``lasso.*``), and the
-    generator options of ``SettingSpec`` (``gen.*``)."""
+    the fields of ``ExperimentConfig``, ``TrainConfig`` (``dnn.*``) and
+    ``LassoConfig`` (``lasso.*``), and the generator options of
+    ``SettingSpec`` (``gen.*``)."""
     gen = typing.get_type_hints(datagen.SettingSpec)
     keys = {}
     for prefix, group, hints in (
@@ -66,7 +66,6 @@ def _config_keys() -> dict[str, tuple[str | None, str, object]]:
         keys.update((prefix + name, (group, name, tp)) for name, tp in hints.items()
                     if tp is not dict)
     del keys["dnn.family"]  # the method name picks the family
-    keys["dnn.lr"] = keys.pop("dnn.base_lr")
     return keys
 
 
@@ -124,7 +123,8 @@ def _integers(text: str) -> list[int]:
 
 
 def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
-    """``--splits`` under ``datagen``'s split rule, or the default splits."""
+    """``--splits`` under ``datagen``'s split rule, or the default splits:
+    ``ExperimentConfig``'s validation and test sizes, the rest for training."""
     if splits_arg:
         where = f"--splits {splits_arg!r} (train,val,test): "
         try:
@@ -132,9 +132,10 @@ def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
         except ValueError:
             raise UsageError(f"{where}need integers") from None
         return _checked(datagen._checked_splits, splits=parts, n=n, where=where)
-    if n <= 2000:
-        raise UsageError("default splits need n > 2000; pass --splits")
-    return (n - 2000, 1000, 1000)
+    val, test = harness.ExperimentConfig.n_val, harness.ExperimentConfig.n_test
+    if n <= val + test:
+        raise UsageError(f"default splits need n > {val + test}; pass --splits")
+    return (n - val - test, val, test)
 
 
 def cmd_generate(args) -> int:
@@ -150,10 +151,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     overrides = {"family": args.family, "seed": args.seed}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.lr is not None:
-        overrides["base_lr"] = args.lr
+    overrides.update((k, v) for k, v in (("epochs", args.epochs), ("lr", args.lr))
+                     if v is not None)
     _checked(estimator.TrainConfig, **overrides)  # before any data is read
     ds = datagen.load_dataset(args.data)
     cfg = estimator.default_train_config(ds.spec.setting, **overrides)
@@ -267,7 +266,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("generate", help="generate a synthetic dataset")
     g.add_argument("--setting", required=True, choices=datagen.SETTING_IDS)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=datagen.SettingSpec.seed)
     g.add_argument("--out", required=True)
     g.add_argument("--splits", default=None, help="train,val,test sizes")
     g.add_argument("--noise-sd", type=float, dest="noise_sd", help="D1 and D2 only")
@@ -278,8 +277,9 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="fit the coefficient network")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--family", choices=("dnn", "linear"), default="dnn")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--family", choices=estimator.MODEL_FAMILIES,
+                   default=estimator.TrainConfig.family)
+    t.add_argument("--seed", type=int, default=estimator.TrainConfig.seed)
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--lr", type=float, default=None)
     t.set_defaults(fn=cmd_train)
@@ -306,13 +306,16 @@ def build_parser() -> _Parser:
     b.set_defaults(fn=cmd_baseline)
 
     d = sub.add_parser("bounds", help="closed-form scaling diagnostics")
-    d.add_argument("--n", type=_integers, default="10000", help="comma list, scientific ok")
-    d.add_argument("--p", type=_integers, default="50", help="comma list")
-    d.add_argument("--q", type=int, default=2)
-    d.add_argument("--m", type=float, default=2.0)
-    d.add_argument("--alpha", type=float, default=0.5)
-    d.add_argument("--delta", type=float, default=0.05)
-    d.add_argument("--pseudo-dim", type=float, default=100.0, dest="pseudo_dim")
+    bound = theory.BoundInputs
+    d.add_argument("--n", type=_integers, default=[bound.n], help="comma list, scientific ok")
+    d.add_argument("--p", type=_integers, default=[bound.p], help="comma list")
+    d.add_argument("--q", type=int, default=bound.q)
+    d.add_argument("--m", type=float, default=bound.smoothness)
+    d.add_argument("--alpha", type=float, default=0.5,
+                   help="strong convexity; 0.5, not BoundInputs' 1: at alpha = 1, "
+                        "log(1/alpha) = 0 and every rate prints 0")
+    d.add_argument("--delta", type=float, default=bound.delta)
+    d.add_argument("--pseudo-dim", type=float, default=bound.pseudo_dim, dest="pseudo_dim")
     d.set_defaults(fn=cmd_bounds)
 
     x = sub.add_parser("experiment", help="full multi-replicate pipeline")

@@ -24,6 +24,7 @@ from .errors import NonFiniteLoss, ShapeMismatch
 from .numerics import run_pair, seeded_rng
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
+MODEL_FAMILIES = ("dnn", "linear")  # the network families train fits
 PREDICT_ROWS = 32  # samples per scatter-and-einsum pass of _predict
 VAL_ROWS = 2048  # validation samples per forward pass
 GRAPH_ROWS = 512  # samples per forward pass of estimate_graphs
@@ -85,12 +86,12 @@ class CdgmModel:
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 512
-    base_lr: float = 5e-4
+    lr: float = 5e-4
     lr_step: int = 20
     lr_decay: float = 0.25
     clip_norm: float = 1.0
     seed: int = 0
-    family: str = "dnn"  # "dnn" or "linear"
+    family: str = "dnn"  # one of MODEL_FAMILIES
     block1: tuple[int, ...] = (128, 64)
     block2: tuple[int, ...] = (128,)
     dropout: float = 0.3
@@ -98,7 +99,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ShapeMismatch("batch_size and epochs must be >= 1")
-        if self.family not in ("dnn", "linear"):
+        if self.family not in MODEL_FAMILIES:
             raise ShapeMismatch(f"unknown model family {self.family!r}")
         if self.lr_step < 1:
             raise ShapeMismatch("lr_step must be >= 1")
@@ -106,8 +107,8 @@ class TrainConfig:
             raise ShapeMismatch("seed must be >= 0")
         if not self.clip_norm > 0:
             raise ShapeMismatch("clip_norm must be > 0 (inf turns clipping off)")
-        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
-            raise ShapeMismatch("base_lr must be finite and >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ShapeMismatch("lr must be finite and >= 0")
         if not (math.isfinite(self.lr_decay) and self.lr_decay > 0):
             raise ShapeMismatch("lr_decay must be finite and > 0")
 
@@ -130,10 +131,10 @@ def default_train_config(setting: str, **overrides) -> TrainConfig:
 
 
 def scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
-    """Step decay: base_lr * lr_decay^floor(epoch / lr_step)."""
+    """Step decay: lr * lr_decay^floor(epoch / lr_step)."""
     if epoch < 0:
         raise ShapeMismatch("epoch must be >= 0")
-    return cfg.base_lr * cfg.lr_decay ** (epoch // cfg.lr_step)
+    return cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_step)
 
 
 @dataclass
@@ -291,6 +292,9 @@ def save_model(model: CdgmModel, out_dir) -> None:
 def load_model(in_dir) -> CdgmModel:
     src = Path(in_dir)
     meta = json.loads((src / "model.json").read_text())
+    if meta.get("index_map") != INDEX_MAP_CONVENTION:
+        raise ShapeMismatch(f"{src / 'model.json'}: index_map {meta.get('index_map')!r} is "
+                            f"not {INDEX_MAP_CONVENTION!r}")
     p, q = meta["p"], meta["q"]
     spec = nn.MlpSpec(input_dim=q, block1=tuple(meta["block1"]),
                       block2=tuple(meta["block2"]), output_dim=p * (p - 1),

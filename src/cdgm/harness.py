@@ -29,6 +29,13 @@ VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 NETWORK_FAMILIES = {"dnn": "dnn", "reggmm": "linear"}
 DEFAULT_THRESHOLDS = (0.01, 0.025, 0.05, 0.075, 0.1)
 REPLICATE_JSON = "replicate_{:03d}.json"  # replicate i's results, written as it finishes
+# The report schema: report.csv's sample means, and summary.csv's replicate
+# mean and standard deviation of each.
+SCORES = ("auroc", "auprc", "f1", "ba")
+REPORT_COLUMNS = ("setting", "replicate", "method", "n_train", "threshold", *SCORES,
+                  "runtime_s")
+SUMMARY_COLUMNS = ("setting", "method", "threshold",
+                   *(f"{s}_{stat}" for s in SCORES for stat in ("mean", "std")), "replicates")
 
 
 def metric_key(name: str, tau: float) -> str:
@@ -247,9 +254,8 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_lines = [",".join(metrics.REPORT_COLUMNS)]
-    summary_lines = ["setting,method,threshold,auroc_mean,auroc_std,auprc_mean,"
-                     "auprc_std,f1_mean,f1_std,ba_mean,ba_std,replicates"]
+    report_lines = [",".join(REPORT_COLUMNS)]
+    summary_lines = [",".join(SUMMARY_COLUMNS)]
     reports = {}
     keys = {tau: ("auroc", "auprc", metric_key("f1", tau), metric_key("ba", tau))
             for tau in cfg.thresholds}
@@ -303,10 +309,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     aggregation; the run itself continues. A replicate with lasso fits
     that ran out of sweeps gets one stderr line with their count. The
     resolved config goes to ``config.json``, from which ``cdgm report``
-    rebuilds the report. Each replicate's artifacts and stderr lines are
-    written as soon as it and every earlier replicate are done, so a run
-    that stops early keeps the replicates it finished; the report comes
-    last.
+    rebuilds the report. An ``out_dir`` whose ``config.json`` holds another
+    config is a usage error before any file is written; the same config
+    runs again over its own files. Each replicate's artifacts and stderr
+    lines are written as soon as it and every earlier replicate are done,
+    so a run that stops early keeps the replicates it finished; the report
+    comes last.
     Replicate worker processes are capped by the CDGM_THREADS environment
     variable, an integer >= 1 checked before any file is written (default 1).
     """
@@ -315,8 +323,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
         raise UsageError(f"CDGM_THREADS must be an integer >= 1, not {threads!r}")
     workers = int(threads)
     out = Path(cfg.out_dir)
+    config = json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
+    if (out / "config.json").is_file() and (out / "config.json").read_text() != config:
+        raise UsageError(f"{out / 'config.json'} holds another run's config; "
+                         "choose a new out_dir")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
+    (out / "config.json").write_text(config)
     results = []
     with contextlib.ExitStack() as stack:
         mapper = map
@@ -335,17 +347,25 @@ def load_run(out_dir) -> tuple[ExperimentConfig, list[dict]]:
     file, holding its index and seed. Replicate files of another run left
     in the directory are not read."""
     out = Path(out_dir)
-    if not (out / "config.json").is_file():
-        raise CdgmError(f"no {out / 'config.json'}; it is written by the experiment run")
-    cfg = ExperimentConfig(**json.loads((out / "config.json").read_text()))
+    path = out / "config.json"
+    if not path.is_file():
+        raise CdgmError(f"no {path}; it is written by the experiment run")
+    try:
+        cfg = ExperimentConfig(**json.loads(path.read_text()))
+    except (CdgmError, TypeError, ValueError) as exc:  # a file or a config it cannot read
+        raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
     reps = []
     for index, seed in enumerate(cfg.seeds):
         path = out / REPLICATE_JSON.format(index)
         if not path.is_file():
             raise CdgmError(f"no {path}; config.json lists {cfg.replicates} replicates")
-        rep = json.loads(path.read_text())
-        if (rep.get("replicate"), rep.get("seed")) != (index, seed):
-            raise CdgmError(f"{path} holds replicate {rep.get('replicate')} (seed "
-                            f"{rep.get('seed')}), not replicate {index} (seed {seed})")
+        try:
+            rep = json.loads(path.read_text())
+            found = rep.get("replicate"), rep.get("seed")
+        except (AttributeError, ValueError) as exc:  # not JSON, or not a JSON object
+            raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
+        if found != (index, seed):
+            raise CdgmError(f"{path} holds replicate {found[0]} (seed {found[1]}), "
+                            f"not replicate {index} (seed {seed})")
         reps.append(rep)
     return cfg, reps

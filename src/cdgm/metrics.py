@@ -21,9 +21,6 @@ import numpy as np
 from . import graphops
 from .errors import DegenerateLabels, ShapeMismatch
 
-REPORT_COLUMNS = ["setting", "replicate", "method", "n_train", "threshold",
-                  "auroc", "auprc", "f1", "ba", "runtime_s"]
-
 
 def _check_binary(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)

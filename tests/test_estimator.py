@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -106,7 +107,7 @@ def _tiny_dataset(p=4, q=2, n=120, seed=0):
 
 def test_train_zero_lr_keeps_initialization():
     ds = _tiny_dataset()
-    cfg = estimator.TrainConfig(epochs=1, batch_size=32, base_lr=0.0, seed=5,
+    cfg = estimator.TrainConfig(epochs=1, batch_size=32, lr=0.0, seed=5,
                                 family="dnn", block1=(4,), block2=(3,), dropout=0.1)
     model, hist = estimator.train(ds, cfg)
     fresh = nn.init_params(model.spec, seeded_rng(5, 0))
@@ -116,7 +117,7 @@ def test_train_zero_lr_keeps_initialization():
 
 def test_train_is_deterministic_given_seed():
     ds = _tiny_dataset()
-    cfg = estimator.TrainConfig(epochs=3, batch_size=32, base_lr=1e-3, seed=9,
+    cfg = estimator.TrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=9,
                                 family="dnn", block1=(6,), block2=(4,), dropout=0.2)
     m1, h1 = estimator.train(ds, cfg)
     m2, h2 = estimator.train(ds, cfg)
@@ -126,7 +127,7 @@ def test_train_is_deterministic_given_seed():
 
 def test_train_snapshot_never_worse_than_initialization():
     ds = _tiny_dataset(seed=3)
-    cfg = estimator.TrainConfig(epochs=4, batch_size=32, base_lr=0.05, seed=1,
+    cfg = estimator.TrainConfig(epochs=4, batch_size=32, lr=0.05, seed=1,
                                 family="dnn", block1=(8,), block2=(4,), dropout=0.0)
     model, hist = estimator.train(ds, cfg)
     Xval, Zval = ds.part("val")
@@ -180,7 +181,7 @@ def test_train_linear_family_recovers_known_coefficients():
     X = np.linalg.solve(np.transpose(low, (0, 2, 1)), u[..., None])[..., 0]
     spec = datagen.make_setting("G1", seed=0, p=p)
     ds = datagen.Dataset(spec=spec, X=X, Z=Z, splits=(n - 20_000, 10_000, 10_000))
-    cfg = estimator.TrainConfig(epochs=80, batch_size=4096, base_lr=0.08,
+    cfg = estimator.TrainConfig(epochs=80, batch_size=4096, lr=0.08,
                                 lr_step=5, lr_decay=0.3, seed=1, family="linear")
     model, _ = estimator.train(ds, cfg)
     w, b = model.params.layers()[0]
@@ -237,10 +238,24 @@ def test_model_roundtrip(tmp_path):
                           estimator.estimate_graphs(model, Z))
 
 
+def test_load_model_rejects_another_index_map(tmp_path):
+    # a model.json with another coefficient layout used to load and score without a word
+    spec = nn.MlpSpec(input_dim=2, block1=(5,), block2=(4,), output_dim=12, dropout=0.2)
+    model = estimator.CdgmModel(p=4, q=2, spec=spec, params=nn.init_params(spec, seeded_rng(2, 0)))
+    estimator.save_model(model, tmp_path / "m")
+    meta_path = tmp_path / "m" / "model.json"
+    meta = json.loads(meta_path.read_text())
+    for index_map in ("column-major, anything", None):
+        meta["index_map"] = index_map
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ShapeMismatch, match="model.json: index_map"):
+            estimator.load_model(tmp_path / "m")
+
+
 @pytest.mark.parametrize("field,value", [("lr_step", 0), ("clip_norm", 0.0),
                                          ("clip_norm", -1.0), ("clip_norm", np.nan),
-                                         ("base_lr", -1e-3), ("base_lr", np.inf),
-                                         ("base_lr", np.nan), ("lr_decay", 0.0),
+                                         ("lr", -1e-3), ("lr", np.inf),
+                                         ("lr", np.nan), ("lr_decay", 0.0),
                                          ("lr_decay", np.inf)])
 def test_train_config_rejects_bad_schedule_values(field, value):
     with pytest.raises(ShapeMismatch, match=field):
@@ -248,8 +263,8 @@ def test_train_config_rejects_bad_schedule_values(field, value):
 
 
 def test_train_config_accepts_zero_lr_and_no_clipping():
-    cfg = estimator.TrainConfig(base_lr=0.0, clip_norm=np.inf, lr_step=1, lr_decay=1.0)
-    assert cfg.clip_norm == np.inf and cfg.base_lr == 0.0
+    cfg = estimator.TrainConfig(lr=0.0, clip_norm=np.inf, lr_step=1, lr_decay=1.0)
+    assert cfg.clip_norm == np.inf and cfg.lr == 0.0
 
 
 def test_default_config_per_setting():
@@ -257,6 +272,6 @@ def test_default_config_per_setting():
     assert g1.epochs == 50 and g1.block1 == (128, 64) and g1.dropout == 0.3
     d2 = estimator.default_train_config("D2")
     assert d2.epochs == 80 and d2.block1 == (64, 32) and d2.dropout == 0.1
-    assert d2.base_lr == 5e-4 and d2.batch_size == 512 and d2.clip_norm == 1.0
+    assert d2.lr == 5e-4 and d2.batch_size == 512 and d2.clip_norm == 1.0
     custom = estimator.default_train_config("G2", epochs=3)
     assert custom.epochs == 3

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -82,7 +83,7 @@ def test_run_experiment_deterministic_reports(tmp_path):
 def test_failed_method_is_recorded_not_raised(tmp_path):
     # a learning rate this large overflows the training loss
     cfg = _tiny_config(tmp_path, dnn=dict(epochs=2, block1=(8,), block2=(6,), batch_size=64,
-                                          base_lr=1e300))
+                                          lr=1e300))
     results = harness.run_replicate(cfg, 0)
     assert results["methods"]["dnn"]["status"] == "failed"
     assert results["methods"]["dnn"]["error"].startswith("NonFiniteLoss")
@@ -332,14 +333,17 @@ def test_cli_experiment_and_report(tmp_path, capsys):
 
 
 def test_cli_report_reads_only_the_runs_own_replicates(tmp_path, capsys):
-    # a 3-replicate run, then a 1-replicate run into the same directory: the
-    # rebuilt report used to hold the first run's replicates 1 and 2 as well
-    out = tmp_path / "exp"
+    # a 1-replicate run beside a 3-replicate run's replicates 1 and 2: the
+    # rebuilt report used to hold them as well
+    out, old = tmp_path / "exp", tmp_path / "old"
     cfg = _tiny_config(tmp_path, replicates=3, seeds=(1, 2, 3), methods=("nodewise-lasso",),
-                       out_dir=str(out), lasso=dict(n_lambdas=4))
+                       out_dir=str(old), lasso=dict(n_lambdas=4))
     harness.run_experiment(cfg)
     harness.run_experiment(_tiny_config(tmp_path, seeds=(9,), methods=("nodewise-lasso",),
                                         out_dir=str(out), lasso=dict(n_lambdas=4)))
+    for index in (1, 2):
+        name = harness.REPLICATE_JSON.format(index)
+        shutil.copyfile(old / name, out / name)
     report = (out / "report.csv").read_text()
     assert len(report.splitlines()) == 1 + len(cfg.thresholds)
     assert cli.main(["report", "--dir", str(out)]) == 0
@@ -356,6 +360,55 @@ def test_cli_report_reads_only_the_runs_own_replicates(tmp_path, capsys):
     assert cli.main(["report", "--dir", str(out)]) == 2
     assert "replicate_000.json" in capsys.readouterr().err
     assert (out / "report.csv").read_text() == rebuilt
+
+
+def test_cli_report_names_the_file_it_cannot_read(tmp_path, capsys):
+    out = tmp_path / "exp"
+    cfg_file = _write_experiment_config(tmp_path / "exp.cfg", out)
+    assert cli.main(["experiment", "--config", str(cfg_file)]) == 0
+    capsys.readouterr()
+    rep, config = (out / "replicate_000.json").read_text(), (out / "config.json").read_text()
+    # a truncated replicate used to print a JSONDecodeError with no path
+    (out / "replicate_000.json").write_text(rep[:100])
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    assert f"{out / 'replicate_000.json'}: JSONDecodeError" in capsys.readouterr().err
+    (out / "replicate_000.json").write_text("[]")
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    assert f"{out / 'replicate_000.json'}: AttributeError" in capsys.readouterr().err
+    (out / "replicate_000.json").write_text(rep)
+    # a run written before dnn.lr was the field's own name
+    (out / "config.json").write_text(config.replace('"dnn": {', '"dnn": {\n    "base_lr": 0.001,'))
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'config.json'}: TypeError" in err and "base_lr" in err
+
+
+def test_cli_experiment_rerun_with_another_config_exits_one(tmp_path, capsys):
+    out = tmp_path / "exp"
+    cfg_file = _write_experiment_config(tmp_path / "exp.cfg", out, "methods = nodewise-lasso")
+    assert cli.main(["experiment", "--config", str(cfg_file)]) == 0
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
+    changed = _write_experiment_config(tmp_path / "new.cfg", out, "methods = nodewise-lasso",
+                                       "seeds = 6")
+    assert cli.main(["experiment", "--config", str(changed)]) == 1
+    assert capsys.readouterr().err == (f"usage error: {out / 'config.json'} holds another "
+                                       "run's config; choose a new out_dir\n")
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+    # the same config runs again over its own files
+    assert cli.main(["experiment", "--config", str(cfg_file)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+
+def test_cli_lr_errors_name_lr(tmp_path, capsys):
+    # the dnn.lr key and the --lr flag used to report their value as base_lr
+    cfg_file = _write_experiment_config(tmp_path / "lr.cfg", tmp_path / "run", "dnn.lr = -1")
+    for argv in (["experiment", "--config", str(cfg_file)],
+                 ["train", "--lr", "-1", "--data", str(tmp_path / "missing"),
+                  "--out", str(tmp_path / "m")]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "usage error: lr must be finite and >= 0\n"
+    assert not (tmp_path / "run").exists() and not (tmp_path / "m").exists()
 
 
 def test_cli_eval_and_baseline_reject_pseudo_moral_off_d_settings(g1_model, tmp_path, capsys):
@@ -632,7 +685,7 @@ def test_cli_config_accepts_documented_dotted_keys(tmp_path):
                         "lasso.n_lambdas = 4\nlasso.export_paths = true\n"
                         "gen.p = 6\ngen.noise_sd = 0.5\n")
     cfg = cli.parse_config_file(cfg_file)
-    assert cfg.dnn == {"base_lr": 0.001, "block1": (8, 4), "epochs": 2}
+    assert cfg.dnn == {"lr": 0.001, "block1": (8, 4), "epochs": 2}
     assert cfg.lasso == {"n_lambdas": 4, "export_paths": True}
     assert cfg.generator == {"p": 6, "noise_sd": 0.5}
 

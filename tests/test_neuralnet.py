@@ -245,7 +245,7 @@ def test_optimizer_converges_on_quadratic():
 
 
 def test_scheduled_lr_step_decay():
-    cfg = estimator.TrainConfig(base_lr=0.0005, lr_step=20, lr_decay=0.25)
+    cfg = estimator.TrainConfig(lr=0.0005, lr_step=20, lr_decay=0.25)
     assert estimator.scheduled_lr(cfg, 0) == 0.0005
     assert estimator.scheduled_lr(cfg, 19) == 0.0005
     assert estimator.scheduled_lr(cfg, 20) == pytest.approx(0.000125)

@@ -143,7 +143,7 @@ def _ref_train(data, cfg):
     train_loss, val_loss = [], []
     n = Xtr.shape[0]
     for epoch in range(cfg.epochs):
-        lr = cfg.base_lr * cfg.lr_decay ** (epoch // cfg.lr_step)
+        lr = cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_step)
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
@@ -175,7 +175,7 @@ def _train_both(setting, family, n_train, batch):
     assert spec.p == (90 if setting == "G2" else 50)  # canonical p
     ds = datagen.generate_dataset(spec, n_train + N_VAL + N_TEST, (n_train, N_VAL, N_TEST))
     cfg = estimator.default_train_config(setting, epochs=2, batch_size=batch,
-                                         base_lr=1e-3, seed=3, family=family)
+                                         lr=1e-3, seed=3, family=family)
     model, hist = estimator.train(ds, cfg)
     ref_spec, ref_params, ref_hist = _ref_train(ds, cfg)
     assert model.spec == ref_spec
@@ -276,12 +276,12 @@ def test_adam_matches_frozen_step_for_40_steps(scale, clip_norm):
     spec, params = _g1_network()
     ref_params = params.copy()
     state, ref_state = _adam_state(clip_norm), _adam_state(clip_norm)
-    cfg = estimator.TrainConfig(base_lr=1e-3)  # the step sizes of its schedule
+    cfg = estimator.TrainConfig(lr=1e-3)  # the step sizes of its schedule
     gen = np.random.default_rng(14)
     for step in range(40):
         g = gen.normal(scale=scale, size=spec.n_params)
         given = g.copy()
-        lr = cfg.base_lr if step % 2 else estimator.scheduled_lr(cfg, step)
+        lr = cfg.lr if step % 2 else estimator.scheduled_lr(cfg, step)
         nn.optimizer_step(params, g, state, lr=lr)
         _ref_optimizer_step(ref_params, given, ref_state, lr=lr)
         assert np.array_equal(g, given)  # the caller's gradient is left alone

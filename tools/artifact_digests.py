@@ -20,7 +20,8 @@ line. It then runs ``cdgm generate`` (a small G1 dataset),
 --export-paths`` through ``cli.main`` and prints the digests of
 ``eval.json``, the eval's ``histogram.csv`` and ``baseline.json``, one
 digest of the sorted edge-list files and one of the sorted path CSVs
-under ``cli/``. Two source
+under ``cli/``. Last it prints the digest of ``cdgm bounds``' stdout at
+its defaults and at ``--alpha 1``, one line each. Two source
 trees write the same artifacts exactly when they print the same lines
 (the bits depend on the BLAS setup, so pin it):
 
@@ -145,12 +146,17 @@ CLI_ARTIFACTS = ("eval/eval.json", "eval/histogram.csv", "baseline/baseline.json
 CLI_GROUPS = ("eval/edges/*.csv", "baseline/lasso_path_*.csv")
 
 
-def run_cli(argv) -> None:
-    """``cdgm argv``, its stdout dropped; a nonzero exit stops the tool."""
-    with contextlib.redirect_stdout(io.StringIO()):
+# ``cdgm bounds`` at its defaults, and at BoundInputs' own strong convexity.
+BOUNDS_RUNS = ((), ("--alpha", "1"))
+
+
+def run_cli(argv) -> str:
+    """``cdgm argv``'s stdout; a nonzero exit stops the tool."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         rc = cli.main(argv)
     if rc != 0:
         raise SystemExit(f"cdgm {argv[0]} exited {rc}")
+    return stdout.getvalue()
 
 
 def deterministic_bytes(path: Path) -> bytes:
@@ -201,6 +207,9 @@ def main(argv=None) -> int:
             for path in files:
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
             print(f"{digest.hexdigest()}  cli/{pattern}", flush=True)
+        for flags in BOUNDS_RUNS:
+            digest = hashlib.sha256(run_cli(["bounds", *flags]).encode()).hexdigest()
+            print(f"{digest}  {' '.join(['cdgm bounds', *flags])} (stdout)", flush=True)
     return 0
 
 
