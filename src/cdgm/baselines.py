@@ -69,9 +69,14 @@ def _coordinate_descent(gram, corr, b, lam, tol: float,
     for _ in range(max_iter):
         start, cw, lw = b[:, todo], corr[:, todo], lam[:, todo]
         bw = start.copy()  # each coordinate moves once per sweep, from start
-        for c, gcc in enumerate(diag):
-            if gcc > 0.0:
-                bw[c] = soft_threshold(cw[c] - gram[c] @ bw + gcc * start[c], lw[c]) / gcc
+        own = diag[:, None] * start  # G[c, c] * start[c], each coordinate's own term
+        v = np.empty(len(todo))
+        for gcc, row, bc, cc, oc, lc in zip(diag, gram, bw, cw, own, lw):
+            if gcc > 0.0:  # bc = soft_threshold(cc - row @ bw + oc, lc) / gcc, in place
+                np.matmul(row, bw, out=v)
+                np.subtract(cc, v, out=v)
+                v += oc
+                np.divide(soft_threshold(v, lc), gcc, out=bc)
         b[:, todo] = bw
         kkt = _kkt_residual(cw - gram @ bw, bw, lw)
         done = (np.abs(bw - start).max(axis=0) < tol) & (kkt <= 1e-8)

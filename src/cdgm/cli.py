@@ -181,7 +181,8 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {k: metrics.mean(v) for k, v in per_sample.items()}
     (out / "eval.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    graphops.write_histogram(*graphops.magnitude_histogram(graphs), out / "histogram.csv")
+    counts, edges = graphops.magnitude_histogram(graphs)
+    (out / "histogram.csv").write_text(graphops.histogram_csv(counts, edges))
     if args.edge_list_tau is not None:
         edge_dir = out / "edges"
         edge_dir.mkdir(exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import neuralnet as nn
 from .datagen import Dataset
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import CdgmError, NonFiniteLoss, ShapeMismatch
 from .numerics import run_pair, seeded_rng
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
@@ -291,13 +291,17 @@ def save_model(model: CdgmModel, out_dir) -> None:
 
 def load_model(in_dir) -> CdgmModel:
     src = Path(in_dir)
-    meta = json.loads((src / "model.json").read_text())
-    if meta.get("index_map") != INDEX_MAP_CONVENTION:
-        raise ShapeMismatch(f"{src / 'model.json'}: index_map {meta.get('index_map')!r} is "
-                            f"not {INDEX_MAP_CONVENTION!r}")
-    p, q = meta["p"], meta["q"]
-    spec = nn.MlpSpec(input_dim=q, block1=tuple(meta["block1"]),
-                      block2=tuple(meta["block2"]), output_dim=p * (p - 1),
-                      dropout=meta["dropout"])
+    path = src / "model.json"
+    try:
+        meta = json.loads(path.read_text())
+        if meta.get("index_map") != INDEX_MAP_CONVENTION:
+            raise ShapeMismatch(f"{path}: index_map {meta.get('index_map')!r} is "
+                                f"not {INDEX_MAP_CONVENTION!r}")
+        p, q = meta["p"], meta["q"]
+        spec = nn.MlpSpec(input_dim=q, block1=tuple(meta["block1"]),
+                          block2=tuple(meta["block2"]), output_dim=p * (p - 1),
+                          dropout=meta["dropout"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not JSON, or not a model
+        raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
     params = nn.load_params(src / "params.bin", spec)
     return CdgmModel(p=p, q=q, spec=spec, params=params)

@@ -93,12 +93,11 @@ def write_edge_list(j, k, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_histogram(counts, edges, path) -> None:
-    """Histogram CSV: header bin_low,bin_high,count then one row per bin."""
+def histogram_csv(counts, edges) -> str:
+    """Histogram CSV text: header bin_low,bin_high,count then one row per bin."""
     lines = ["bin_low,bin_high,count"] + [
         f"{lo:.10g},{hi:.10g},{c}" for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def magnitude_histogram(graphs):

@@ -280,20 +280,32 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
                 str(len(ok)),
             ]))
 
-    (out / "report.csv").write_text("\n".join(report_lines) + "\n")
-    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
+    _write_atomic(out / "report.csv", "\n".join(report_lines) + "\n")
+    _write_atomic(out / "summary.csv", "\n".join(summary_lines) + "\n")
     return reports
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary name and ``os.replace``:
+    a run killed mid-write leaves the old file or the new one, never a torn
+    one, and a failed write leaves no temporary file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_replicate_artifacts(out: Path, rep: dict) -> None:
     """One replicate's JSON and histogram CSVs, and its stderr lines."""
-    (out / REPLICATE_JSON.format(rep["replicate"])).write_text(
-        json.dumps(rep, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / REPLICATE_JSON.format(rep["replicate"]),
+                  json.dumps(rep, indent=2, sort_keys=True) + "\n")
     for method, res in rep["methods"].items():
         hist = res.get("histogram")
         if hist:
-            graphops.write_histogram(hist["counts"], hist["edges"],
-                                     out / f"histogram_{method}_{rep['replicate']:03d}.csv")
+            _write_atomic(out / f"histogram_{method}_{rep['replicate']:03d}.csv",
+                          graphops.histogram_csv(hist["counts"], hist["edges"]))
         where = f"replicate {rep['replicate']} (seed {rep['seed']}): {method}"
         if res["status"] != "ok":
             print(f"{where} failed: {res['error']}", file=sys.stderr)
@@ -314,7 +326,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     runs again over its own files. Each replicate's artifacts and stderr
     lines are written as soon as it and every earlier replicate are done,
     so a run that stops early keeps the replicates it finished; the report
-    comes last.
+    comes last. Every file goes through a temporary name and ``os.replace``,
+    so none is left half written.
     Replicate worker processes are capped by the CDGM_THREADS environment
     variable, an integer >= 1 checked before any file is written (default 1).
     """
@@ -328,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
         raise UsageError(f"{out / 'config.json'} holds another run's config; "
                          "choose a new out_dir")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(config)
+    _write_atomic(out / "config.json", config)
     results = []
     with contextlib.ExitStack() as stack:
         mapper = map

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgm import datagen
-from cdgm.errors import CyclicGraph, ShapeMismatch
+from cdgm.errors import CdgmError, CyclicGraph, ShapeMismatch
 from cdgm.numerics import cholesky, seeded_rng
 
 
@@ -48,18 +48,43 @@ def test_block_precision_placement():
 
 def test_mix_precision_weights():
     a, b = np.eye(2), np.array([[2.0, 0.5], [0.5, 2.0]])
-    assert np.array_equal(datagen._mix([1.0, 0.0], [a, b]), a)
-    assert np.allclose(datagen._mix([0.5, 0.5], [a, b]), (a + b) / 2)
-    stack = datagen._mix([[1.0, 0.0], [0.5, 0.5]], [a, b])
-    assert np.array_equal(stack[1], datagen._mix([0.5, 0.5], [a, b]))
+    mix = datagen._Mixer([a, b], 2)
+    assert np.array_equal(mix([1.0, 0.0]), a)
+    assert np.allclose(mix([0.5, 0.5]), (a + b) / 2)
+    stack = mix([[1.0, 0.0], [0.5, 0.5]]).copy()
+    assert np.array_equal(stack[1], mix([0.5, 0.5]))
+    with pytest.raises(ShapeMismatch):
+        mix(np.ones((3, 2)))  # more rows than the mixer holds
+
+
+@pytest.mark.parametrize("setting", ["G1", "G2"])
+def test_support_mix_equals_dense_sum_bit_for_bit(setting):
+    # zero and negative weights: off the support a dense sum adds
+    # 0.0 + (-0.0), which must come out +0.0 as before
+    options = {"block_size": 4} if setting == "G2" else {}
+    spec = datagen.make_setting(setting, seed=1, p=12, **options)
+    weights = np.random.default_rng(2).uniform(-1.0, 1.0, (9, 3))
+    weights[::3, 1] = 0.0
+    weights[1::3, 0] = -0.0
+    dense = np.zeros((9, 12, 12))
+    for l, psi in enumerate(spec.candidates):
+        dense += weights[:, l, None, None] * psi
+    mix = datagen._Mixer(spec.candidates, 9)
+    for _ in range(2):  # the reused stack keeps its zeros
+        got = mix(weights)
+        assert np.array_equal(got, dense)
+        assert np.array_equal(np.signbit(got), np.signbit(dense))
+    for w, d in zip(weights, dense):
+        assert np.array_equal(np.signbit(mix(w)), np.signbit(d)) and np.array_equal(mix(w), d)
 
 
 def test_mix_precision_convex_random_is_pd():
     gen = np.random.default_rng(0)
     cands = [datagen.banded_precision(8, l, 1.0, 0.3) for l in (1, 2, 3)]
+    mix = datagen._Mixer(cands, 1)
     for _ in range(20):
         w = gen.dirichlet(np.ones(3))
-        cholesky(datagen._mix(w, cands))
+        cholesky(mix(w))
 
 
 # --- covariate branch rules ----------------------------------------------
@@ -396,7 +421,7 @@ def test_every_gaussian_theta_is_pd():
     spec = datagen.make_setting("G2", seed=10, p=9, block_size=3)
     ds = datagen.generate_dataset(spec, 200, (200, 0, 0))
     weights, _ = datagen.covariate_to_weights(spec, ds.Z)
-    cholesky(datagen._mix(weights, spec.candidates))
+    cholesky(datagen._Mixer(spec.candidates, len(weights))(weights))
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -495,6 +520,17 @@ def test_load_dataset_rejects_an_undeclared_generator_key(tmp_path, key):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ShapeMismatch, match=f"meta.json: 'generator' holds '{key}'"):
         datagen.load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_names_a_meta_json_it_cannot_parse(tmp_path):
+    # a meta.json cut to 40 bytes used to reach the CLI as a bare JSONDecodeError
+    spec = datagen.make_setting("G1", seed=1, p=6)
+    datagen.save_dataset(datagen.generate_dataset(spec, 50, (30, 10, 10)), tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(CdgmError) as err:
+        datagen.load_dataset(tmp_path / "d")
+    assert str(err.value).startswith(f"{path}: JSONDecodeError: ")
 
 
 @pytest.mark.parametrize("splits", [(60, 30, 60), (-10, 70, 60)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cdgm.neuralnet as nn
 from cdgm import datagen, estimator
-from cdgm.errors import ShapeMismatch
+from cdgm.errors import CdgmError, ShapeMismatch
 from cdgm.numerics import seeded_rng
 
 
@@ -250,6 +250,22 @@ def test_load_model_rejects_another_index_map(tmp_path):
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ShapeMismatch, match="model.json: index_map"):
             estimator.load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda text: text[:60], "JSONDecodeError: "),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "p"}),
+     "KeyError: 'p'")], ids=["cut-to-60-bytes", "without-p"])
+def test_load_model_names_a_model_json_it_cannot_read(tmp_path, damage, message):
+    # a cut model.json, or one without p, used to reach the CLI without its path
+    spec = nn.MlpSpec(input_dim=2, block1=(5,), block2=(4,), output_dim=12, dropout=0.2)
+    model = estimator.CdgmModel(p=4, q=2, spec=spec, params=nn.init_params(spec, seeded_rng(2, 0)))
+    estimator.save_model(model, tmp_path / "m")
+    path = tmp_path / "m" / "model.json"
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(CdgmError) as err:
+        estimator.load_model(tmp_path / "m")
+    assert str(err.value).startswith(f"{path}: {message}")
 
 
 @pytest.mark.parametrize("field,value", [("lr_step", 0), ("clip_norm", 0.0),

@@ -47,6 +47,33 @@ def _tiny_config(tmp_path, **kw):
     return harness.ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("name", ["config.json", "replicate_000.json",
+                                  "histogram_reggmm_000.csv", "report.csv", "summary.csv"])
+def test_a_failed_replace_keeps_the_old_artifact_and_no_temporary_file(tmp_path, monkeypatch,
+                                                                      name):
+    # each artifact goes through a temporary name; a kill or failure before
+    # the replace used to be able to leave a torn file
+    cfg = _tiny_config(tmp_path, methods=("reggmm",), dnn=dict(epochs=1))
+    harness.run_experiment(cfg)
+    out = Path(cfg.out_dir)
+    before = sorted(p.name for p in out.iterdir())
+    if name != "config.json":  # a rerun needs the same config
+        (out / name).write_text("old\n")
+    old = (out / name).read_text()
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == name:
+            raise OSError("replace failed")
+        replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", failing)
+    with pytest.raises(OSError, match="replace failed"):
+        harness.run_experiment(cfg)
+    assert (out / name).read_text() == old
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     cfg = _tiny_config(tmp_path)
     reports = harness.run_experiment(cfg)

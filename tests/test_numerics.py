@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cdgm.errors import NotPositiveDefinite, ShapeMismatch
-from cdgm.numerics import cholesky, sample_from_precision, seeded_rng
+from cdgm.numerics import (cholesky, sample_from_precision, seeded_rng, seeded_rngs,
+                           solve_lt)
 
 
 def test_cholesky_identity():
@@ -122,8 +123,38 @@ def test_sampler_error_shrinks_with_sample_size():
     assert large < small / 2.0
 
 
+# numpy's SeedSequence is the reference for the batch seeding: one-word,
+# two-word and five-word seeds, and streams up to the largest one-word key.
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**128 + 3)
+STREAMS = (0, 1, 2, 31, 32, 1000, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_seeding_equals_numpy_seed_sequence(seed):
+    for stream, gen in zip(STREAMS, seeded_rngs(seed, STREAMS), strict=True):
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+        assert gen.bit_generator.state == ref.bit_generator.state, stream
+        assert seeded_rng(seed, stream).bit_generator.state == ref.bit_generator.state, stream
+        assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5)), stream
+
+
+@pytest.mark.parametrize("seed,streams", [(-1, [0]), (0, [2**32]), (0, [-1]), (3, [5, 2**40])])
+def test_seeding_refuses_negative_seeds_and_streams_past_one_word(seed, streams):
+    with pytest.raises(ShapeMismatch, match="every stream in"):
+        seeded_rngs(seed, streams)
+
+
+def test_solve_checks_shapes_and_a_singular_factor():
+    with pytest.raises(ShapeMismatch):
+        solve_lt(np.eye(3), np.ones((2, 4)))
+    with pytest.raises(ShapeMismatch):
+        solve_lt(np.stack([np.eye(3)] * 2), np.ones((3, 1, 3)))
+    with pytest.raises(NotPositiveDefinite, match="dtrtrs returned info 2"):
+        solve_lt(np.diag([1.0, 0.0, 1.0]), np.ones((1, 3)))
+
+
 # scipy's triangular solve (LAPACK trtrs) is the reference for the solves
-# that go through np.linalg.solve: the stacked form datagen uses on
+# against the Cholesky factor: the stacked form datagen uses on
 # FACTOR_CHUNK factors, and sample_from_precision. The bits may depend on
 # the BLAS thread count, so each count runs in a fresh process.
 SOLVE_ORACLE = """
@@ -131,16 +162,17 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from cdgm.datagen import FACTOR_CHUNK
-from cdgm.numerics import cholesky, sample_from_precision, seeded_rng
+from cdgm.numerics import cholesky, sample_from_precision, seeded_rng, solve_lt
 
 gen = np.random.default_rng(3)
 checked = differ = 0
 for p in (1, 2, 7, 50, 90, 200):
     a = gen.normal(size=(FACTOR_CHUNK, p, p))
-    up = cholesky(a @ a.transpose(0, 2, 1) + p * np.eye(p)).transpose(0, 2, 1)
-    u = gen.standard_normal((FACTOR_CHUNK, p))[:, :, None]
-    ref = solve_triangular(up, u, lower=False, check_finite=False)
-    got = np.linalg.solve(up, u)
+    low = cholesky(a @ a.transpose(0, 2, 1) + p * np.eye(p))
+    u = gen.standard_normal((FACTOR_CHUNK, p))
+    ref = solve_triangular(low.transpose(0, 2, 1), u[:, :, None], lower=False,
+                           check_finite=False)[:, :, 0]
+    got = solve_lt(low, u[:, None, :])[:, 0, :]
     checked, differ = checked + 1, differ + (not np.array_equal(got, ref))
 for p in (1, 7, 50, 200):
     a = gen.normal(size=(p, p))
@@ -161,3 +193,40 @@ def test_solves_match_scipy_triangular_solve_bit_for_bit(threads):
     proc = subprocess.run([sys.executable, "-c", SOLVE_ORACLE], capture_output=True,
                           text=True, check=True, env=env)
     assert proc.stdout.split() == ["22", "0"]
+
+
+# Without numpy's dtrtrs symbol the solves fall back to np.linalg.solve;
+# generation and sampling must give the same bits either way.
+FALLBACK_ORACLE = """
+import numpy as np
+
+from cdgm import datagen, numerics
+
+
+def draws():
+    out = []
+    for p in (6, 50, 90):
+        for setting in ("G1", "G2"):
+            spec = datagen.make_setting(setting, seed=p, p=p)
+            out.append(datagen._generate_gaussian(spec, 70)[0])
+        a = np.random.default_rng(p).normal(size=(p, p))
+        out.append(numerics.sample_from_precision(a @ a.T + p * np.eye(p), 40,
+                                                  numerics.seeded_rng(p, 1)))
+    return out
+
+
+library = draws()
+assert numerics._trtrs, "numpy's dtrtrs was not found"
+numerics._trtrs, numerics._find_trtrs = None, lambda: None
+fallback = draws()
+assert numerics._trtrs is False
+print(len(library), sum(not np.array_equal(a, b) for a, b in zip(library, fallback)))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_solve_fallback_gives_the_dtrtrs_bits(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_ORACLE], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.split() == ["9", "0"]

@@ -1,11 +1,15 @@
-"""Digests of the deterministic artifacts of fixed experiment configs and
-of one small ``cdgm`` command-line run.
+"""Digests of generated datasets, of the deterministic artifacts of fixed
+experiment configs and of one small ``cdgm`` command-line run.
 
-Runs the acceptance test's c12 config, small canonical-p G2 and N2
-lasso configs (the settings whose negative-weight mixes are factored one
-at a time), a pseudo-moral D2 dnn config, a small canonical-p G2 dnn
-config (4005-pair score rows), a D1 dnn and lasso config and a G2
-lasso config with overridden generator options, both read by
+First it generates 300 samples of every setting at seed 0 and at the
+seed 2**40 + 5, whose entropy takes two 32-bit words, and prints one
+``sha256  generate/<setting>-<seed>`` line per dataset over its ``X``,
+``Z`` and resample count. Then it runs the acceptance test's c12
+config, small canonical-p G2 and N2 lasso configs (the settings whose
+negative-weight mixes are factored one at a time), a pseudo-moral D2
+dnn config, a small canonical-p G2 dnn config (4005-pair score rows), a
+D1 dnn and lasso config and a G2 lasso config with overridden generator
+options, both read by
 ``cli.parse_config_file`` (so the parser decides each value's type),
 and the benchmark workloads' configs
 (``benchmark/workloads.py``) at replicate seeds 1000 and 2001 with
@@ -48,11 +52,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
 
-from cdgm import cli, harness  # noqa: E402
+from cdgm import cli, datagen, harness  # noqa: E402
 
 import workloads  # noqa: E402
 
 SEEDS = (1000, 2001)
+# Generation digests: every setting at these seeds, with this many samples.
+GENERATED_SEEDS = (0, 2**40 + 5)
+GENERATED_N = 300
 REBUILT = "c12"  # the run whose report ``cdgm report --dir`` rebuilds
 # Values whose type the config parser decides: floats written as integers,
 # an infinite clip norm, a one-layer block, and a false boolean.
@@ -150,6 +157,15 @@ CLI_GROUPS = ("eval/edges/*.csv", "baseline/lasso_path_*.csv")
 BOUNDS_RUNS = ((), ("--alpha", "1"))
 
 
+def generation_digest(setting: str, seed: int) -> str:
+    """sha256 over a generated dataset's X and Z bytes and its resample count."""
+    ds = datagen.generate_dataset(datagen.make_setting(setting, seed=seed), GENERATED_N,
+                                  (GENERATED_N, 0, 0))
+    digest = hashlib.sha256(ds.X.astype("<f8").tobytes() + ds.Z.astype("<f8").tobytes())
+    digest.update(str(ds.resample_count).encode())
+    return digest.hexdigest()
+
+
 def run_cli(argv) -> str:
     """``cdgm argv``'s stdout; a nonzero exit stops the tool."""
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
@@ -176,6 +192,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--work", help="keep the artifacts in this directory")
     args = ap.parse_args(argv)
+    for setting in datagen.SETTING_IDS:
+        for seed in GENERATED_SEEDS:
+            print(f"{generation_digest(setting, seed)}  generate/{setting}-{seed}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.work or tmp)
         root.mkdir(parents=True, exist_ok=True)
