@@ -512,12 +512,14 @@ class Dataset:
         return self.X[sl], self.Z[sl]
 
 
-def _draw_covariate(spec: SettingSpec, gen: np.random.Generator) -> np.ndarray:
+def _covariate_draw(spec: SettingSpec):
+    """The setting's covariate draw, a function of one sample's generator;
+    chosen once per dataset, outside the per-sample loops."""
+    q = spec.q
     if spec.setting in ("G2", "N2"):
-        return gen.standard_normal(spec.q)
-    if spec.mechanism == "dag":
-        return gen.uniform(-1.0, 1.0, spec.q)
-    return gen.uniform(0.0, 1.0, spec.q)
+        return lambda gen: gen.standard_normal(q)
+    low = -1.0 if spec.mechanism == "dag" else 0.0
+    return lambda gen: gen.uniform(low, 1.0, q)
 
 
 def generate_dataset(spec: SettingSpec, n: int, splits) -> Dataset:
@@ -553,8 +555,9 @@ def _checked_splits(splits, n: int, where: str = "") -> tuple[int, int, int]:
 def _generate_dag(spec: SettingSpec, n: int):
     Z = np.empty((n, spec.q))
     noise = np.empty((n, spec.p))
+    draw_covariate = _covariate_draw(spec)
     for i, gen in enumerate(seeded_rngs(spec.seed, range(1, n + 1))):
-        Z[i] = _draw_covariate(spec, gen)
+        Z[i] = draw_covariate(gen)
         noise[i] = gen.normal(0.0, spec.noise_sd, size=spec.p)
     weights, _ = covariate_to_weights(spec, Z)
     X = sem_simulate_batch(spec.candidates, weights, noise, spec.hermite_coeffs)
@@ -580,11 +583,12 @@ def _generate_gaussian(spec: SettingSpec, n: int):
     Z = np.empty((n, spec.q))
     X = np.empty((n, p))
     streams = seeded_rngs(spec.seed, range(1, n + 1))
+    draw_covariate = _covariate_draw(spec)
     resamples = 0
     for lo in range(0, n, FACTOR_CHUNK):
         gens = list(itertools.islice(streams, FACTOR_CHUNK))
         m = len(gens)
-        z = np.array([_draw_covariate(spec, gen) for gen in gens])
+        z = np.array([draw_covariate(gen) for gen in gens])
         weights, _ = covariate_to_weights(spec, z)
         factored = np.zeros(m, dtype=bool)
         retry = np.flatnonzero(np.any(weights < 0.0, axis=1))
@@ -594,7 +598,7 @@ def _generate_gaussian(spec: SettingSpec, n: int):
                     low[i] = cholesky(mix(weights[i]))
                     factored[i] = True
                 except NotPositiveDefinite:
-                    z[i] = _draw_covariate(spec, gens[i])
+                    z[i] = draw_covariate(gens[i])
             retry = retry[~factored[retry]]
             resamples += retry.size
             weights[retry] = covariate_to_weights(spec, z[retry])[0]

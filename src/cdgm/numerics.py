@@ -120,13 +120,20 @@ def cholesky(m) -> np.ndarray:
     its own: finite entries, symmetric within 1e-10, and every pivot
     above 1e-12. A pivot at or below the floor raises NotPositiveDefinite,
     which signals an invalid precision mix upstream.
+
+    Both entry checks are one pass: the largest entry of a - a^T is at most
+    1e-10 exactly when every |a - a^T| is, since rounding is symmetric in
+    sign (fl(x - y) = -fl(y - x)), and a NaN or inf entry makes it NaN or
+    inf, so the entries are scanned for finiteness only when it fails.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"cholesky needs square matrices, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ShapeMismatch("matrix contains non-finite entries")
-    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)) <= 1e-10):
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, reported below
+        skew = np.max(a - np.swapaxes(a, -1, -2), initial=0.0)
+    if not skew <= 1e-10:
+        if not np.all(np.isfinite(a)):
+            raise ShapeMismatch("matrix contains non-finite entries")
         raise ShapeMismatch("cholesky needs a symmetric matrix")
     try:
         low = np.linalg.cholesky(a)

@@ -84,6 +84,63 @@ def test_cholesky_stack_checks_every_matrix():
         cholesky(np.ones((2, 3, 4)))
 
 
+NON_FINITE = "^matrix contains non-finite entries$"
+ASYMMETRIC = "^cholesky needs a symmetric matrix$"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2), (2, 0)])
+def test_cholesky_names_non_finite_entries(value, where):
+    m = _spd_stack(1, 3, 2)[0]
+    m[where] = value
+    with pytest.raises(ShapeMismatch, match=NON_FINITE):
+        cholesky(m)
+    m[where[::-1]] = value  # also when its mirror holds the same value
+    with pytest.raises(ShapeMismatch, match=NON_FINITE):
+        cholesky(m)
+
+
+def test_cholesky_names_opposite_infinities():
+    m = np.eye(3)
+    m[0, 1], m[1, 0] = np.inf, -np.inf
+    with pytest.raises(ShapeMismatch, match=NON_FINITE):
+        cholesky(m)
+
+
+def test_cholesky_symmetry_tolerance_is_1e_10():
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = 0.5
+    skew = m.copy()
+    skew[2, 0] += 2e-10
+    with pytest.raises(ShapeMismatch, match=ASYMMETRIC):
+        cholesky(skew)
+    skew[2, 0] = 0.5 - 2e-10  # either side of the mirror
+    with pytest.raises(ShapeMismatch, match=ASYMMETRIC):
+        cholesky(skew)
+    near = m.copy()
+    near[2, 0] += 0.5e-10
+    assert np.array_equal(cholesky(near), np.linalg.cholesky(near))
+
+
+def test_cholesky_non_finite_wins_over_asymmetric():
+    m = np.eye(3)
+    m[0, 1] = 0.7  # asymmetric: m[1, 0] stays 0
+    m[2, 2] = np.nan
+    with pytest.raises(ShapeMismatch, match=NON_FINITE):
+        cholesky(m)
+
+
+def test_cholesky_checks_the_last_matrix_of_a_stack():
+    ms = _spd_stack(5, 4, 3)
+    nan, skew = ms.copy(), ms.copy()
+    nan[-1, 3, 3] = np.nan
+    skew[-1, 3, 0] += 1e-9
+    with pytest.raises(ShapeMismatch, match=NON_FINITE):
+        cholesky(nan)
+    with pytest.raises(ShapeMismatch, match=ASYMMETRIC):
+        cholesky(skew)
+
+
 def test_sampler_identity_precision_covariance():
     x = sample_from_precision(np.eye(4), 100_000, seeded_rng(0, 9))
     emp = x.T @ x / len(x)

@@ -33,6 +33,9 @@ trees write the same artifacts exactly when they print the same lines
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/artifact_digests.py > new.txt
     diff old.txt new.txt
 
+When no ``cdgm`` is importable it prints one line naming
+``PYTHONPATH=<tree>/src`` to standard error and exits 2.
+
 For a change that moves work between threads, diff at both
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``: the two thread counts print
 different digests, so the second run checks that the change left each
@@ -50,9 +53,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
+TREE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(TREE / "benchmark"))
 
-from cdgm import cli, datagen, harness  # noqa: E402
+try:
+    from cdgm import cli, datagen, harness
+except ModuleNotFoundError as exc:
+    if exc.name != "cdgm":
+        raise
+    print(f"artifact_digests: cannot import cdgm; run with PYTHONPATH={TREE / 'src'} "
+          "(or the src of the tree to digest)", file=sys.stderr)
+    sys.exit(2)
 
 import workloads  # noqa: E402
 
