@@ -18,6 +18,7 @@ import numpy as np
 from . import graphops
 from . import metrics as metrics_mod
 from .errors import CdgmError, ShapeMismatch
+from .files import write_atomic
 
 
 @dataclass
@@ -212,13 +213,10 @@ def nodewise_lasso_graphs(x, **options) -> LassoPath:
 
 def write_path_csv(path: LassoPath, out_file) -> None:
     """Debug export: one row per penalty with the flattened weight matrix."""
-    p = path.graphs[0].shape[0]
-    header = "lambda," + ",".join(f"w_{j}_{k}" for j in range(p) for k in range(p))
-    lines = [header]
+    lines = ["lambda," + ",".join(f"w_{j}_{k}" for j, k in np.ndindex(path.graphs[0].shape))]
     for lam, w in zip(path.lambdas, path.graphs):
         lines.append(f"{lam:.10g}," + ",".join(f"{v:.10g}" for v in w.ravel()))
-    with open(out_file, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(out_file, "\n".join(lines) + "\n")
 
 
 def score_graphs(graphs, patterns, thresholds=()) -> dict:

@@ -12,12 +12,14 @@ import json
 import sys
 import types
 import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, datagen, estimator, graphops, harness, metrics, theory
 from .errors import CdgmError, DomainError, UsageError
+from .files import write_atomic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,15 +159,8 @@ def cmd_train(args) -> int:
     ds = datagen.load_dataset(args.data)
     cfg = estimator.default_train_config(ds.spec.setting, **overrides)
     model, history = estimator.train(ds, cfg)
-    out = Path(args.out)
-    estimator.save_model(model, out)
-    (out / "history.json").write_text(json.dumps({
-        "train_loss": history.train_loss,
-        "val_loss": history.val_loss,
-        "init_val_loss": history.init_val_loss,
-        "best_epoch": history.best_epoch,
-        "wall_time_s": history.wall_time_s,
-    }, indent=2) + "\n")
+    estimator.save_model(model, args.out)
+    write_atomic(Path(args.out) / "history.json", json.dumps(asdict(history), indent=2) + "\n")
     best_val = min([history.init_val_loss] + history.val_loss)
     print(f"trained {args.family} model for {ds.spec.setting}; "
           f"best epoch {history.best_epoch}, val MSE {best_val:.6g}")
@@ -178,20 +173,17 @@ def cmd_eval(args) -> int:
     model = estimator.load_model(args.model)
     graphs, per_sample = harness.score_test_split(model, ds, args.pseudo_moral, args.thresholds)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {k: metrics.mean(v) for k, v in per_sample.items()}
-    (out / "eval.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "eval.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     counts, edges = graphops.magnitude_histogram(graphs)
-    (out / "histogram.csv").write_text(graphops.histogram_csv(counts, edges))
+    write_atomic(out / "histogram.csv", graphops.histogram_csv(counts, edges))
     if args.edge_list_tau is not None:
-        edge_dir = out / "edges"
-        edge_dir.mkdir(exist_ok=True)
         # the AND-rule skeletons of the normalized graphs, as scoring builds them
         kept = graphops.threshold_pairs(graphops.normalize_pairs(*graphops.pair_scores(graphs)),
                                         args.edge_list_tau)
         j, k = np.triu_indices(model.p, 1)
         for i, row in enumerate(kept):
-            graphops.write_edge_list(j[row], k[row], edge_dir / f"sample_{i:05d}.csv")
+            graphops.write_edge_list(j[row], k[row], out / "edges" / f"sample_{i:05d}.csv")
     for key in sorted(summary):
         print(f"{key}: {summary[key]:.4f}")
     return 0
@@ -208,11 +200,10 @@ def cmd_baseline(args) -> int:
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],
         pseudo_moral=args.pseudo_moral, lasso=lasso, out_dir=args.out)
     res = harness.fit_eval_lasso(cfg, ds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {k: metrics.mean(v) for k, v in res["per_sample"].items()}
     summary["best_lambdas"] = res["best_lambdas"]
-    (out / "baseline.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_atomic(Path(args.out) / "baseline.json",
+                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for key in ("auroc", "auprc"):
         print(f"{key}: {summary[key]:.4f}")
     return 0

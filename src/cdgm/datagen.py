@@ -18,6 +18,7 @@ moral graph of the union of the active trees in the DAG settings.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CdgmError, CyclicGraph, NotPositiveDefinite, ShapeMismatch
+from .files import write_atomic
 from .numerics import cholesky, seeded_rng, seeded_rngs, solve_lt
 
 SETTING_IDS = ("G1", "G2", "N1", "N2", "D1", "D2")
@@ -625,7 +627,6 @@ META_OPTIONS = tuple(k for k in GENERATOR_OPTIONS if k != "p")
 def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
     """Write meta.json plus little-endian row-major float64 X.f64 / Z.f64."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = ds.spec
     meta = {
         "setting": spec.setting,
@@ -637,12 +638,13 @@ def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
         "generator": {k: getattr(spec, k) for k in META_OPTIONS},
         "resample_count": ds.resample_count,
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    ds.X.astype("<f8").tofile(out / "X.f64")
-    ds.Z.astype("<f8").tofile(out / "Z.f64")
-    if csv:
-        np.savetxt(out / "X.csv", ds.X, delimiter=",")
-        np.savetxt(out / "Z.csv", ds.Z, delimiter=",")
+    write_atomic(out / "meta.json", json.dumps(meta, indent=2) + "\n")
+    for name, values in (("X", ds.X), ("Z", ds.Z)):
+        write_atomic(out / f"{name}.f64", values.astype("<f8").tobytes())
+        if csv:
+            text = io.StringIO()
+            np.savetxt(text, values, delimiter=",")
+            write_atomic(out / f"{name}.csv", text.getvalue())
 
 
 def _read_f64(path: Path, n: int, cols: int) -> np.ndarray:
@@ -668,12 +670,14 @@ def load_dataset(in_dir) -> Dataset:
                                 f"its keys are {', '.join(META_OPTIONS)}")
         spec = SettingSpec(meta["setting"], seed=meta["seed"], p=meta["p"],
                            **meta["generator"])
-        n, p, q = meta["n"], meta["p"], meta["q"]
+        n, p = meta["n"], meta["p"]
+        if meta["q"] != spec.q:
+            raise ShapeMismatch(f"{path}: q is {meta['q']!r}, not {spec.setting}'s {spec.q}")
         splits = _checked_splits((meta["splits"][k] for k in ("train", "val", "test")), n,
                                  f"{path}: ")
         resample_count = meta.get("resample_count", 0)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not JSON, or not a dataset
         raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
     X = _read_f64(src / "X.f64", n, p)
-    Z = _read_f64(src / "Z.f64", n, q)
+    Z = _read_f64(src / "Z.f64", n, spec.q)
     return Dataset(spec=spec, X=X, Z=Z, splits=splits, resample_count=resample_count)

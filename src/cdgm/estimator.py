@@ -21,6 +21,7 @@ import numpy as np
 from . import neuralnet as nn
 from .datagen import Dataset
 from .errors import CdgmError, NonFiniteLoss, ShapeMismatch
+from .files import write_atomic
 from .numerics import run_pair, seeded_rng
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
@@ -276,7 +277,6 @@ def estimate_graphs(model: CdgmModel, Z) -> np.ndarray:
 
 def save_model(model: CdgmModel, out_dir) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     nn.save_params(model.params, out / "params.bin")
     sidecar = {
         "p": model.p,
@@ -286,7 +286,7 @@ def save_model(model: CdgmModel, out_dir) -> None:
         "dropout": model.spec.dropout,
         "index_map": INDEX_MAP_CONVENTION,
     }
-    (out / "model.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_atomic(out / "model.json", json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_model(in_dir) -> CdgmModel:

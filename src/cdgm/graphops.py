@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
+from .files import write_atomic
 
 HISTOGRAM_BINS = 50  # equal-width bins of magnitude_histogram over [0, 1]
 
@@ -89,8 +90,7 @@ def write_edge_list(j, k, path) -> None:
     """Edge-list CSV: header j,k then one row per undirected edge
     (``j[i]``, ``k[i]``) of the index arrays ``j`` and ``k``, in order."""
     lines = ["j,k"] + [f"{a},{b}" for a, b in zip(j.tolist(), k.tolist())]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def histogram_csv(counts, edges) -> str:

@@ -10,7 +10,6 @@ samples within each covariate cluster.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import json
 import os
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import baselines, datagen, estimator, graphops, metrics
 from .errors import CdgmError, ShapeMismatch, UsageError
+from .files import write_atomic
 
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 # Model family ``estimator.train`` fits for each network method.
@@ -190,10 +190,8 @@ def fit_eval_lasso(cfg: ExperimentConfig, ds: datagen.Dataset, replicate: int = 
         path = baselines.nodewise_lasso_graphs(Xtr[members], **cfg.lasso)
         nonconverged += path.nonconverged
         if export_paths:
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             csv = f"lasso_path_cluster{cluster}_{replicate:03d}.csv"
-            baselines.write_path_csv(path, out / csv)
+            baselines.write_path_csv(path, Path(cfg.out_dir) / csv)
         # every member shares the path, so each of its truths is scored once
         used, local = np.unique(inverse[members], return_inverse=True)
         scored = baselines.score_graphs(path.graphs, patterns[used], cfg.thresholds)
@@ -253,7 +251,6 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
     least once.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report_lines = [",".join(REPORT_COLUMNS)]
     summary_lines = [",".join(SUMMARY_COLUMNS)]
     reports = {}
@@ -280,32 +277,20 @@ def write_report(cfg: ExperimentConfig, replicate_results: list[dict],
                 str(len(ok)),
             ]))
 
-    _write_atomic(out / "report.csv", "\n".join(report_lines) + "\n")
-    _write_atomic(out / "summary.csv", "\n".join(summary_lines) + "\n")
+    write_atomic(out / "report.csv", "\n".join(report_lines) + "\n")
+    write_atomic(out / "summary.csv", "\n".join(summary_lines) + "\n")
     return reports
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary name and ``os.replace``:
-    a run killed mid-write leaves the old file or the new one, never a torn
-    one, and a failed write leaves no temporary file."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_replicate_artifacts(out: Path, rep: dict) -> None:
     """One replicate's JSON and histogram CSVs, and its stderr lines."""
-    _write_atomic(out / REPLICATE_JSON.format(rep["replicate"]),
-                  json.dumps(rep, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / REPLICATE_JSON.format(rep["replicate"]),
+                 json.dumps(rep, indent=2, sort_keys=True) + "\n")
     for method, res in rep["methods"].items():
         hist = res.get("histogram")
         if hist:
-            _write_atomic(out / f"histogram_{method}_{rep['replicate']:03d}.csv",
-                          graphops.histogram_csv(hist["counts"], hist["edges"]))
+            write_atomic(out / f"histogram_{method}_{rep['replicate']:03d}.csv",
+                         graphops.histogram_csv(hist["counts"], hist["edges"]))
         where = f"replicate {rep['replicate']} (seed {rep['seed']}): {method}"
         if res["status"] != "ok":
             print(f"{where} failed: {res['error']}", file=sys.stderr)
@@ -326,8 +311,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     runs again over its own files. Each replicate's artifacts and stderr
     lines are written as soon as it and every earlier replicate are done,
     so a run that stops early keeps the replicates it finished; the report
-    comes last. Every file goes through a temporary name and ``os.replace``,
-    so none is left half written.
+    comes last. Every file goes through ``files.write_atomic``, so none is
+    left half written.
     Replicate worker processes are capped by the CDGM_THREADS environment
     variable, an integer >= 1 checked before any file is written (default 1).
     """
@@ -340,12 +325,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, metrics.MetricsReport]:
     if (out / "config.json").is_file() and (out / "config.json").read_text() != config:
         raise UsageError(f"{out / 'config.json'} holds another run's config; "
                          "choose a new out_dir")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "config.json", config)
+    write_atomic(out / "config.json", config)
     results = []
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1 and cfg.replicates > 1:
+            import concurrent.futures  # not at import: start-up cost
             mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, cfg.replicates))).map
         for rep in mapper(run_replicate, [cfg] * cfg.replicates, range(cfg.replicates)):

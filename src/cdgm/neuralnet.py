@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteGradient, ShapeMismatch
+from .files import write_atomic
 from .numerics import run_pair
 
 PARAMS_MAGIC = "CDGM-PARAMS-1"
@@ -324,9 +325,7 @@ def save_params(params: ParamSet, path) -> None:
     """Plain-text shape header followed by the flat little-endian stream."""
     dims = " ".join(f"{i}x{o}" for i, o in params.dims)
     header = f"{PARAMS_MAGIC}\nlayers {dims}\n\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(params.flat.astype("<f8").tobytes())
+    write_atomic(path, header + params.flat.astype("<f8").tobytes())
 
 
 def load_params(path, spec: MlpSpec) -> ParamSet:

@@ -533,6 +533,22 @@ def test_load_dataset_names_a_meta_json_it_cannot_parse(tmp_path):
     assert str(err.value).startswith(f"{path}: JSONDecodeError: ")
 
 
+@pytest.mark.parametrize("setting,options", [("G1", dict(p=6)), ("G2", dict(p=9, block_size=3))])
+def test_load_dataset_rejects_a_q_that_is_not_the_settings(tmp_path, setting, options):
+    # a G1 meta.json with q 1 and Z.f64 cut to match used to train a
+    # one-covariate network, which `cdgm eval` then could not read
+    spec = datagen.make_setting(setting, seed=1, **options)
+    datagen.save_dataset(datagen.generate_dataset(spec, 40, (20, 10, 10)), tmp_path / "d")
+    meta_path, z_path = tmp_path / "d" / "meta.json", tmp_path / "d" / "Z.f64"
+    meta = json.loads(meta_path.read_text())
+    meta["q"] = spec.q - 1
+    meta_path.write_text(json.dumps(meta))
+    z_path.write_bytes(np.fromfile(z_path, dtype="<f8").reshape(40, spec.q)[:, 1:].tobytes())
+    with pytest.raises(CdgmError, match=f"q is {spec.q - 1}, not {setting}'s {spec.q}$") as err:
+        datagen.load_dataset(tmp_path / "d")
+    assert str(err.value).startswith(f"{meta_path}: ")
+
+
 @pytest.mark.parametrize("splits", [(60, 30, 60), (-10, 70, 60)])
 def test_load_dataset_rejects_splits_that_do_not_cover_n(tmp_path, splits):
     # 60/30/60 on 120 rows used to load with a 30-row test split

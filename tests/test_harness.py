@@ -35,6 +35,14 @@ def test_experiment_config_validation():
             k: getattr(datagen.make_setting(setting), k) for k in datagen.options_read(setting)})
 
 
+def test_importing_harness_leaves_the_process_pool_unloaded():
+    # only the CDGM_THREADS > 1 process pool needs concurrent.futures
+    code = "import sys, cdgm.harness; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _tiny_config(tmp_path, **kw):
     base = dict(setting="G1", replicates=1, seeds=(5,), n_train=220, n_val=60,
                 n_test=60, methods=("dnn", "reggmm", "nodewise-lasso"),

@@ -19,12 +19,15 @@ line per artifact: ``report.csv`` without its ``runtime_s`` column,
 ``runtime_s``. It rebuilds the c12 run's ``report.csv`` with ``cdgm
 report --dir`` and prints its digest as ``c12/report.csv (cdgm report)``;
 it stops if that digest differs from the run's own ``c12/report.csv``
-line. It then runs ``cdgm generate`` (a small G1 dataset),
+line. It then runs ``cdgm generate --csv`` (a small G1 dataset),
 ``train --family linear``, ``eval --edge-list-tau`` and ``baseline
---export-paths`` through ``cli.main`` and prints the digests of
-``eval.json``, the eval's ``histogram.csv`` and ``baseline.json``, one
-digest of the sorted edge-list files and one of the sorted path CSVs
-under ``cli/``. Last it prints the digest of ``cdgm bounds``' stdout at
+--export-paths`` through ``cli.main`` and prints the digests of every
+file they write under ``cli/``: the dataset's ``meta.json``, ``X.f64``,
+``Z.f64``, ``X.csv`` and ``Z.csv``, the model's ``model.json`` and
+``params.bin``, ``history.json`` without ``wall_time_s``, ``eval.json``,
+the eval's ``histogram.csv`` and ``baseline.json``, one line each, then
+one digest of the sorted edge-list files and one of the sorted path
+CSVs. Last it prints the digest of ``cdgm bounds``' stdout at
 its defaults and at ``--alpha 1``, one line each. Two source
 trees write the same artifacts exactly when they print the same lines
 (the bits depend on the BLAS setup, so pin it):
@@ -151,7 +154,7 @@ def configs(root: Path):
 # One small G1 dataset through the command-line steps after generation.
 CLI_RUN = (
     ("generate", "--setting", "G1", "--n", "600", "--p", "12", "--seed", "7",
-     "--splits", "400,100,100", "--out", "{root}/data"),
+     "--splits", "400,100,100", "--out", "{root}/data", "--csv"),
     ("train", "--data", "{root}/data", "--out", "{root}/model", "--family", "linear",
      "--epochs", "10", "--seed", "7"),
     ("eval", "--data", "{root}/data", "--model", "{root}/model", "--out", "{root}/eval",
@@ -159,7 +162,9 @@ CLI_RUN = (
     ("baseline", "--data", "{root}/data", "--out", "{root}/baseline", "--n-lambdas", "6",
      "--lambda-min-ratio", "0.01", "--export-paths"),
 )
-CLI_ARTIFACTS = ("eval/eval.json", "eval/histogram.csv", "baseline/baseline.json")
+CLI_ARTIFACTS = ("data/meta.json", "data/X.f64", "data/Z.f64", "data/X.csv", "data/Z.csv",
+                 "model/model.json", "model/params.bin", "model/history.json",
+                 "eval/eval.json", "eval/histogram.csv", "baseline/baseline.json")
 # One digest per group of files: each file's name and bytes, in sorted order.
 CLI_GROUPS = ("eval/edges/*.csv", "baseline/lasso_path_*.csv")
 
@@ -188,15 +193,19 @@ def run_cli(argv) -> str:
 
 def deterministic_bytes(path: Path) -> bytes:
     """The file's bytes with the wall-time fields removed."""
-    text = path.read_text()
     if path.name == "report.csv":
-        text = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
-    elif path.suffix == ".json":
-        rep = json.loads(text)
+        text = path.read_text()
+        return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines()).encode()
+    if path.name.startswith("replicate_"):
+        rep = json.loads(path.read_text())
         for res in rep["methods"].values():
             res.pop("runtime_s")
-        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
-    return text.encode()
+        return (json.dumps(rep, indent=2, sort_keys=True) + "\n").encode()
+    if path.name == "history.json":
+        history = json.loads(path.read_text())
+        history.pop("wall_time_s")
+        return (json.dumps(history, indent=2) + "\n").encode()
+    return path.read_bytes()
 
 
 def main(argv=None) -> int:
@@ -227,7 +236,7 @@ def main(argv=None) -> int:
         for command in CLI_RUN:
             run_cli([arg.format(root=root / "cli") for arg in command])
         for fname in CLI_ARTIFACTS:
-            digest = hashlib.sha256((root / "cli" / fname).read_bytes()).hexdigest()
+            digest = hashlib.sha256(deterministic_bytes(root / "cli" / fname)).hexdigest()
             print(f"{digest}  cli/{fname}", flush=True)
         for pattern in CLI_GROUPS:
             files = sorted((root / "cli").glob(pattern))
