@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graphops
 from . import metrics as metrics_mod
-from .errors import CdgmError, ShapeMismatch
+from .errors import CdgmError, ShapeMismatch, UsageError
 from .files import write_atomic
 
 
@@ -33,11 +33,11 @@ class LassoConfig:
 
     def __post_init__(self):
         if self.n_lambdas < 1 or self.max_iter < 1:
-            raise ShapeMismatch("n_lambdas and max_iter must be >= 1")
+            raise UsageError("n_lambdas and max_iter must be >= 1")
         if not 0 < self.lambda_min_ratio < 1:
-            raise ShapeMismatch("lambda_min_ratio must be in (0, 1)")
+            raise UsageError("lambda_min_ratio must be in (0, 1)")
         if not self.tol > 0:
-            raise ShapeMismatch("tol must be > 0")
+            raise UsageError("tol must be > 0")
 
 
 def _shrink(v, lam, neg_lam, out):

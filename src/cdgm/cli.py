@@ -2,7 +2,8 @@
 
 Subcommands: generate (dataset to disk), train, eval, baseline, bounds,
 experiment (full pipeline), report (re-aggregate replicate outputs).
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error (a bad argument or setting: ``UsageError``),
+2 runtime failure (a damaged input file among them).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, estimator, graphops, harness, metrics, theory
-from .errors import CdgmError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .files import write_atomic
 
 
@@ -43,14 +44,6 @@ def _cast(tp, key: str, text: str):
     except (KeyError, ValueError):
         raise UsageError(f"config key {key!r}: {text!r} is not a valid "
                          f"{tp.__name__}") from None
-
-
-def _checked(make, **options):
-    """``make(**options)``, with a rejected option as a usage error."""
-    try:
-        return make(**options)
-    except (CdgmError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _config_keys() -> dict[str, tuple[str | None, str, object]]:
@@ -100,14 +93,14 @@ def parse_config_file(path) -> harness.ExperimentConfig:
         (cfg[group] if group else cfg)[name] = _cast(tp, key, value)
     if "setting" not in cfg:
         raise UsageError("config must define 'setting'")
-    return _checked(harness.ExperimentConfig, **cfg)
+    return harness.ExperimentConfig(**cfg)
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
     """Comma-separated thresholds under ``harness.check_thresholds``'s rule."""
     try:
         return harness.check_thresholds(text.split(","))
-    except (ValueError, CdgmError) as exc:
+    except (ValueError, UsageError) as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
@@ -124,16 +117,11 @@ def _integers(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
+def _split_sizes(n: int, splits: list[int] | None) -> tuple[int, int, int]:
     """``--splits`` under ``datagen``'s split rule, or the default splits:
     ``ExperimentConfig``'s validation and test sizes, the rest for training."""
-    if splits_arg:
-        where = f"--splits {splits_arg!r} (train,val,test): "
-        try:
-            parts = tuple(int(v) for v in splits_arg.split(","))
-        except ValueError:
-            raise UsageError(f"{where}need integers") from None
-        return _checked(datagen._checked_splits, splits=parts, n=n, where=where)
+    if splits:
+        return datagen._checked_splits(splits, n)
     val, test = harness.ExperimentConfig.n_val, harness.ExperimentConfig.n_test
     if n <= val + test:
         raise UsageError(f"default splits need n > {val + test}; pass --splits")
@@ -142,8 +130,8 @@ def _split_sizes(n: int, splits_arg: str | None) -> tuple[int, int, int]:
 
 def cmd_generate(args) -> int:
     options = {k: v for k, v in (("p", args.p), ("noise_sd", args.noise_sd)) if v is not None}
-    spec = _checked(datagen.SettingSpec, setting=args.setting, seed=args.seed, **options)
-    _checked(datagen.check_options_read, setting=args.setting, options=options)
+    spec = datagen.SettingSpec(args.setting, seed=args.seed, **options)
+    datagen.check_options_read(args.setting, options)
     splits = _split_sizes(args.n, args.splits)
     ds = datagen.generate_dataset(spec, args.n, splits)
     datagen.save_dataset(ds, args.out, csv=args.csv)
@@ -155,7 +143,7 @@ def cmd_train(args) -> int:
     overrides = {"family": args.family, "seed": args.seed}
     overrides.update((k, v) for k, v in (("epochs", args.epochs), ("lr", args.lr))
                      if v is not None)
-    _checked(estimator.TrainConfig, **overrides)  # before any data is read
+    estimator.TrainConfig(**overrides)  # before any data is read
     ds = datagen.load_dataset(args.data)
     cfg = estimator.default_train_config(ds.spec.setting, **overrides)
     model, history = estimator.train(ds, cfg)
@@ -169,8 +157,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = datagen.load_dataset(args.data)
-    _checked(harness.check_pseudo_moral, spec=ds.spec, pseudo=args.pseudo_moral)
+    harness.check_pseudo_moral(ds.spec, args.pseudo_moral)
     model = estimator.load_model(args.model)
+    if (model.p, model.q) != (ds.spec.p, ds.spec.q):
+        raise UsageError(f"{Path(args.model, 'model.json')} is for (p, q) = {model.p, model.q}; "
+                         f"{Path(args.data, 'meta.json')} holds {ds.spec.p, ds.spec.q}")
     graphs, per_sample = harness.score_test_split(model, ds, args.pseudo_moral, args.thresholds)
     out = Path(args.out)
     summary = {k: metrics.mean(v) for k, v in per_sample.items()}
@@ -192,10 +183,9 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     lasso = {"n_lambdas": args.n_lambdas, "lambda_min_ratio": args.lambda_min_ratio,
              "export_paths": args.export_paths}
-    _checked(baselines.LassoConfig, **lasso)  # before any data is read
+    baselines.LassoConfig(**lasso)  # before any data is read
     ds = datagen.load_dataset(args.data)
-    _checked(harness.check_pseudo_moral, spec=ds.spec, pseudo=args.pseudo_moral)
-    cfg = harness.ExperimentConfig(
+    cfg = harness.ExperimentConfig(  # checks --pseudo-moral against the setting too
         setting=ds.spec.setting, seeds=(ds.spec.seed,), methods=("nodewise-lasso",),
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],
         pseudo_moral=args.pseudo_moral, lasso=lasso, out_dir=args.out)
@@ -260,7 +250,7 @@ def build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=datagen.SettingSpec.seed)
     g.add_argument("--out", required=True)
-    g.add_argument("--splits", default=None, help="train,val,test sizes")
+    g.add_argument("--splits", type=_integers, default=None, help="train,val,test sizes")
     g.add_argument("--noise-sd", type=float, dest="noise_sd", help="D1 and D2 only")
     g.add_argument("--p", type=int, help="node-count override")
     g.add_argument("--csv", action="store_true")

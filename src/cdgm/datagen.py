@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CdgmError, CyclicGraph, NotPositiveDefinite, ShapeMismatch
-from .files import write_atomic
+from .errors import CyclicGraph, NotPositiveDefinite, ShapeMismatch, UsageError
+from .files import reading, write_atomic
 from .numerics import cholesky, seeded_rng, seeded_rngs, solve_lt
 
 SETTING_IDS = ("G1", "G2", "N1", "N2", "D1", "D2")
@@ -340,41 +340,45 @@ class SettingSpec:
 
     def __post_init__(self):
         if self.setting not in SETTING_IDS:
-            raise ShapeMismatch(f"unknown setting {self.setting!r}")
+            raise UsageError(f"unknown setting {self.setting!r}")
         wide = self.setting in ("G2", "N2")
         p = (90 if wide else 50) if self.p is None else self.p
         block_size = p // 3 if self.block_size is None else self.block_size
         if self.seed < 0:
-            raise ShapeMismatch("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
         if p < 4:
-            raise ShapeMismatch("p must be >= 4")
+            raise UsageError("p must be >= 4")
         if not 1 <= block_size <= p // 3:
-            raise ShapeMismatch(f"block_size must be in [1, p // 3 = {p // 3}]")
+            raise UsageError(f"block_size must be in [1, p // 3 = {p // 3}]")
         if self.rbf_terms < 1:
-            raise ShapeMismatch("rbf_terms must be >= 1")
+            raise UsageError("rbf_terms must be >= 1")
         if not 0 < self.diag_value < np.inf:
-            raise ShapeMismatch("diag_value must be finite and > 0")
+            raise UsageError("diag_value must be finite and > 0")
         if not 0 < abs(self.offdiag_value) < np.inf:
-            raise ShapeMismatch("offdiag_value must be finite and nonzero")
+            raise UsageError("offdiag_value must be finite and nonzero")
         if not 0 < self.noise_sd < np.inf:
-            raise ShapeMismatch("noise_sd must be finite and > 0")
+            raise UsageError("noise_sd must be finite and > 0")
 
         q = 10 if wide else 2
         setup = seeded_rng(self.seed, stream=0)
         rbf_params = hermite_coeffs = None
-        if self.mechanism == "dag":
-            candidates = (random_tree_dag(p, setup), random_tree_dag(p, setup))
-            if self.setting == "D2":
-                hermite_coeffs = setup.uniform(0.1, 0.5, (p, p, 3))
-        elif wide:
-            candidates = tuple(block_precision(p, l, block_size, self.diag_value,
-                                               self.offdiag_value) for l in (1, 2, 3))
-            rbf_params = (setup.uniform(-10.0, 10.0, self.rbf_terms),  # alphas
-                          setup.uniform(0.1, 0.5, self.rbf_terms),  # betas
-                          setup.uniform(-1.0, 1.0, (self.rbf_terms, q)))  # centers
-        else:
-            candidates = tuple(banded_precision(p, l, self.diag_value, self.offdiag_value)
-                               for l in (1, 2, 3))
+        try:
+            if self.mechanism == "dag":
+                candidates = (random_tree_dag(p, setup), random_tree_dag(p, setup))
+                if self.setting == "D2":
+                    hermite_coeffs = setup.uniform(0.1, 0.5, (p, p, 3))
+            elif wide:
+                candidates = tuple(block_precision(p, l, block_size, self.diag_value,
+                                                   self.offdiag_value) for l in (1, 2, 3))
+                rbf_params = (setup.uniform(-10.0, 10.0, self.rbf_terms),  # alphas
+                              setup.uniform(0.1, 0.5, self.rbf_terms),  # betas
+                              setup.uniform(-1.0, 1.0, (self.rbf_terms, q)))  # centers
+            else:
+                candidates = tuple(banded_precision(p, l, self.diag_value, self.offdiag_value)
+                                   for l in (1, 2, 3))
+        except NotPositiveDefinite:
+            names = "diag_value, offdiag_value" + (", block_size" if wide else "")
+            raise UsageError(f"a candidate matrix from {names} is not positive definite") from None
         for name, value in (("p", p), ("q", q), ("block_size", block_size),
                             ("candidates", candidates), ("rbf_params", rbf_params),
                             ("hermite_coeffs", hermite_coeffs)):
@@ -407,8 +411,8 @@ def check_options_read(setting: str, options) -> None:
     """Reject a set generator option that ``setting``'s data do not depend on."""
     unread = [k for k in options if k not in options_read(setting)]
     if unread:
-        raise ShapeMismatch(f"{setting} does not read gen.{unread[0]}; it reads "
-                            f"gen.{', gen.'.join(options_read(setting))}")
+        raise UsageError(f"{setting} does not read gen.{unread[0]}; it reads "
+                         f"gen.{', gen.'.join(options_read(setting))}")
 
 
 def covariate_to_weights(spec: SettingSpec, Z):
@@ -544,13 +548,12 @@ def generate_dataset(spec: SettingSpec, n: int, splits) -> Dataset:
                    resample_count=resample_count)
 
 
-def _checked_splits(splits, n: int, where: str = "") -> tuple[int, int, int]:
-    """The (train, val, test) sizes as ints: whole, each >= 0, summing to
-    ``n``; ``where`` prefixes the error, e.g. the file they were read from."""
+def _checked_splits(splits, n: int) -> tuple[int, int, int]:
+    """The (train, val, test) sizes as ints: whole, each >= 0, summing to ``n``."""
     given = tuple(splits)
     sizes = tuple(int(s) for s in given)
     if sizes != given or len(sizes) != 3 or min(sizes) < 0 or sum(sizes) != n:
-        raise ShapeMismatch(f"{where}splits {given} must be >= 0 and sum to {n} as integers")
+        raise UsageError(f"splits {given} must be >= 0 and sum to {n} as integers")
     return sizes
 
 
@@ -648,36 +651,32 @@ def save_dataset(ds: Dataset, out_dir, csv: bool = False) -> None:
 
 
 def _read_f64(path: Path, n: int, cols: int) -> np.ndarray:
-    size = path.stat().st_size
-    if size != n * cols * 8:
-        raise ShapeMismatch(f"{path}: expected {n * cols * 8} bytes ({n}x{cols} float64), "
-                            f"found {size}")
-    values = np.fromfile(path, dtype="<f8").reshape(n, cols)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ShapeMismatch(f"{path}: row {np.argmin(finite)} holds NaN or inf")
+    with reading(path):
+        size = path.stat().st_size
+        if size != n * cols * 8:
+            raise ShapeMismatch(f"expected {n * cols * 8} bytes ({n}x{cols} float64), found {size}")
+        values = np.fromfile(path, dtype="<f8").reshape(n, cols)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ShapeMismatch(f"row {np.argmin(finite)} holds NaN or inf")
     return values
 
 
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
     path = src / "meta.json"
-    try:
+    with reading(path):
         meta = json.loads(path.read_text())
-        unknown = [k for k in meta["generator"] if k not in META_OPTIONS]
-        if unknown:
-            raise ShapeMismatch(f"{path}: 'generator' holds {unknown[0]!r}; "
-                                f"its keys are {', '.join(META_OPTIONS)}")
+        # a "generator" key other than META_OPTIONS is a TypeError naming it
         spec = SettingSpec(meta["setting"], seed=meta["seed"], p=meta["p"],
                            **meta["generator"])
-        n, p = meta["n"], meta["p"]
+        n = meta["n"]
+        if type(n) is not int:
+            raise ShapeMismatch(f"n is {n!r}, not a whole number")
         if meta["q"] != spec.q:
-            raise ShapeMismatch(f"{path}: q is {meta['q']!r}, not {spec.setting}'s {spec.q}")
-        splits = _checked_splits((meta["splits"][k] for k in ("train", "val", "test")), n,
-                                 f"{path}: ")
-        resample_count = meta.get("resample_count", 0)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not JSON, or not a dataset
-        raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    X = _read_f64(src / "X.f64", n, p)
+            raise ShapeMismatch(f"q is {meta['q']!r}, not {spec.setting}'s {spec.q}")
+        splits = _checked_splits((meta["splits"][k] for k in ("train", "val", "test")), n)
+        resample_count = meta["resample_count"]
+    X = _read_f64(src / "X.f64", n, spec.p)
     Z = _read_f64(src / "Z.f64", n, spec.q)
     return Dataset(spec=spec, X=X, Z=Z, splits=splits, resample_count=resample_count)

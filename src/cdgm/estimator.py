@@ -20,8 +20,8 @@ import numpy as np
 
 from . import neuralnet as nn
 from .datagen import Dataset
-from .errors import CdgmError, NonFiniteLoss, ShapeMismatch
-from .files import write_atomic
+from .errors import NonFiniteLoss, ShapeMismatch, UsageError
+from .files import reading, write_atomic
 from .numerics import run_pair, seeded_rng
 
 INDEX_MAP_CONVENTION = "row-major over (j,k), k!=j, k ascending"
@@ -99,19 +99,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
-            raise ShapeMismatch("batch_size and epochs must be >= 1")
+            raise UsageError("batch_size and epochs must be >= 1")
         if self.family not in MODEL_FAMILIES:
-            raise ShapeMismatch(f"unknown model family {self.family!r}")
+            raise UsageError(f"unknown model family {self.family!r}")
         if self.lr_step < 1:
-            raise ShapeMismatch("lr_step must be >= 1")
+            raise UsageError("lr_step must be >= 1")
         if self.seed < 0:
-            raise ShapeMismatch("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
         if not self.clip_norm > 0:
-            raise ShapeMismatch("clip_norm must be > 0 (inf turns clipping off)")
+            raise UsageError("clip_norm must be > 0 (inf turns clipping off)")
         if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ShapeMismatch("lr must be finite and >= 0")
+            raise UsageError("lr must be finite and >= 0")
         if not (math.isfinite(self.lr_decay) and self.lr_decay > 0):
-            raise ShapeMismatch("lr_decay must be finite and > 0")
+            raise UsageError("lr_decay must be finite and > 0")
 
 
 # Where a setting departs from the TrainConfig defaults: wide Gaussian/NPN
@@ -189,7 +189,7 @@ def train(data: Dataset, cfg: TrainConfig) -> tuple[CdgmModel, TrainHistory]:
     Xtr, Ztr = data.part("train")
     Xval, Zval = data.part("val")
     if Xtr.shape[0] == 0 or Xval.shape[0] == 0:
-        raise ShapeMismatch("train and validation splits must be nonempty")
+        raise UsageError(f"train and validation splits must be nonempty, got {data.splits}")
     p, q = Xtr.shape[1], Ztr.shape[1]
 
     spec = _network_spec(cfg, p, q)
@@ -292,16 +292,14 @@ def save_model(model: CdgmModel, out_dir) -> None:
 def load_model(in_dir) -> CdgmModel:
     src = Path(in_dir)
     path = src / "model.json"
-    try:
+    with reading(path):
         meta = json.loads(path.read_text())
         if meta.get("index_map") != INDEX_MAP_CONVENTION:
-            raise ShapeMismatch(f"{path}: index_map {meta.get('index_map')!r} is "
+            raise ShapeMismatch(f"index_map {meta.get('index_map')!r} is "
                                 f"not {INDEX_MAP_CONVENTION!r}")
         p, q = meta["p"], meta["q"]
         spec = nn.MlpSpec(input_dim=q, block1=tuple(meta["block1"]),
                           block2=tuple(meta["block2"]), output_dim=p * (p - 1),
                           dropout=meta["dropout"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not JSON, or not a model
-        raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
     params = nn.load_params(src / "params.bin", spec)
     return CdgmModel(p=p, q=q, spec=spec, params=params)

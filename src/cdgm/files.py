@@ -1,11 +1,15 @@
-"""The one way cdgm puts a file on disk: ``write_atomic`` makes the file's
-directory and moves a hidden temporary file into place, so a killed
-process leaves each file old or new, never torn. An artifact of several
-files (a dataset, a model) is replaced one file at a time, not as a whole.
+"""The one way cdgm puts a file on disk and the one guard on what it reads:
+``write_atomic`` makes the file's directory and moves a hidden temporary
+file into place, so a killed process leaves each file old or new, never
+torn. An artifact of several files (a dataset, a model) is replaced one
+file at a time, not as a whole.
 """
 
+import contextlib
 import os
 from pathlib import Path
+
+from .errors import CdgmError
 
 
 def write_atomic(path, data: str | bytes) -> None:
@@ -19,3 +23,13 @@ def write_atomic(path, data: str | bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Re-raise a ``CdgmError``, ``AttributeError``, ``KeyError``, ``TypeError``
+    or ``ValueError`` from the block as ``CdgmError("<path>: <Type>: <msg>")``."""
+    try:
+        yield
+    except (CdgmError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, datagen, estimator, graphops, metrics
-from .errors import CdgmError, ShapeMismatch, UsageError
-from .files import write_atomic
+from .errors import CdgmError, UsageError
+from .files import reading, write_atomic
 
 VALID_METHODS = ("dnn", "reggmm", "nodewise-lasso")
 # Model family ``estimator.train`` fits for each network method.
@@ -48,10 +48,10 @@ def check_thresholds(values) -> tuple[float, ...]:
     ascending order, with distinct ``metric_key``s."""
     thr = tuple(float(t) for t in values)
     if not thr or not all(t >= 0 for t in thr) or any(b < a for a, b in zip(thr, thr[1:])):
-        raise ShapeMismatch("thresholds must be nonempty, nonnegative and ascending")
+        raise UsageError("thresholds must be nonempty, nonnegative and ascending")
     keys = [metric_key("f1", t) for t in thr]
     if len(set(keys)) < len(keys):
-        raise ShapeMismatch(f"thresholds need distinct report keys, got {', '.join(keys)}")
+        raise UsageError(f"thresholds need distinct report keys, got {', '.join(keys)}")
     return thr
 
 
@@ -73,24 +73,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ShapeMismatch("replicate count must be >= 1")
+            raise UsageError("replicate count must be >= 1")
         self.seeds = tuple(int(s) for s in self.seeds)
         if len(self.seeds) != self.replicates:
-            raise ShapeMismatch("one seed per replicate required")
+            raise UsageError("one seed per replicate required")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ShapeMismatch("replicate seeds must be distinct")
+            raise UsageError("replicate seeds must be distinct")
         if min(self.seeds) < 0:
-            raise ShapeMismatch("seeds must be >= 0")
+            raise UsageError("seeds must be >= 0")
         if self.n_train < 1:
-            raise ShapeMismatch("n_train must be >= 1")
+            raise UsageError("n_train must be >= 1")
         if self.n_val < 0 or self.n_test < 0:
-            raise ShapeMismatch("n_val and n_test must be >= 0")
+            raise UsageError("n_val and n_test must be >= 0")
         self.methods = tuple(self.methods)
         if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise ShapeMismatch("methods must be nonempty and distinct")
+            raise UsageError("methods must be nonempty and distinct")
         for m in self.methods:
             if m not in VALID_METHODS:
-                raise ShapeMismatch(f"unknown method {m!r}")
+                raise UsageError(f"unknown method {m!r}")
         self.thresholds = check_thresholds(self.thresholds)
         # Bad gen.*, dnn.* and lasso.* values fail here, before any data is
         # generated, through the same setting spec, TrainConfig, network
@@ -101,7 +101,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m in NETWORK_FAMILIES:
                 if self.n_val < 1 or self.n_test < 1:
-                    raise ShapeMismatch(f"{m} needs n_val and n_test >= 1")
+                    raise UsageError(f"{m} needs n_val and n_test >= 1")
                 estimator._network_spec(_train_config(self, self.seeds[0], NETWORK_FAMILIES[m]),
                                         spec.p, spec.q)
         baselines.LassoConfig(**self.lasso)
@@ -116,7 +116,7 @@ def _train_config(cfg: ExperimentConfig, seed: int, family: str) -> estimator.Tr
 def check_pseudo_moral(spec: datagen.SettingSpec, pseudo: bool) -> None:
     """Reject pseudo-moral truth for a setting whose truth has no moral graph."""
     if pseudo and spec.mechanism != "dag":
-        raise ShapeMismatch(f"pseudo_moral applies to D settings only, not {spec.setting}")
+        raise UsageError(f"pseudo_moral applies to D settings only, not {spec.setting}")
 
 
 def truth_vectors(spec, Z, pseudo: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +348,22 @@ def load_run(out_dir) -> tuple[ExperimentConfig, list[dict]]:
     path = out / "config.json"
     if not path.is_file():
         raise CdgmError(f"no {path}; it is written by the experiment run")
-    try:
+    with reading(path):
         cfg = ExperimentConfig(**json.loads(path.read_text()))
-    except (CdgmError, TypeError, ValueError) as exc:  # a file or a config it cannot read
-        raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
     reps = []
     for index, seed in enumerate(cfg.seeds):
         path = out / REPLICATE_JSON.format(index)
         if not path.is_file():
             raise CdgmError(f"no {path}; config.json lists {cfg.replicates} replicates")
-        try:
+        with reading(path):
             rep = json.loads(path.read_text())
             found = rep.get("replicate"), rep.get("seed")
-        except (AttributeError, ValueError) as exc:  # not JSON, or not a JSON object
-            raise CdgmError(f"{path}: {type(exc).__name__}: {exc}") from exc
+            for method in cfg.methods:  # the keys write_report reads
+                res = rep["methods"].get(method, {})
+                needs = (("status", "per_sample", "runtime_s") if res.get("status") == "ok"
+                         else ("status",))
+                if missing := [k for k in needs if k not in res]:
+                    raise KeyError(f"methods.{method}.{missing[0]}")
         if found != (index, seed):
             raise CdgmError(f"{path} holds replicate {found[0]} (seed {found[1]}), "
                             f"not replicate {index} (seed {seed})")

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ShapeMismatch
-from .files import write_atomic
+from .errors import NonFiniteGradient, ShapeMismatch, UsageError
+from .files import reading, write_atomic
 from .numerics import run_pair
 
 PARAMS_MAGIC = "CDGM-PARAMS-1"
@@ -41,9 +41,9 @@ class MlpSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
-            raise ShapeMismatch(f"dropout must be in [0, 1), got {self.dropout}")
+            raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
         if any(h <= 0 for h in self.block1) or any(h <= 0 for h in self.block2):
-            raise ShapeMismatch("hidden sizes must be positive")
+            raise UsageError("hidden sizes must be positive")
         object.__setattr__(self, "block1", tuple(int(h) for h in self.block1))
         object.__setattr__(self, "block2", tuple(int(h) for h in self.block2))
 
@@ -329,21 +329,18 @@ def save_params(params: ParamSet, path) -> None:
 
 
 def load_params(path, spec: MlpSpec) -> ParamSet:
-    raw = Path(path).read_bytes()
-    end = raw.find(b"\n\n")
-    lines = raw[:end].decode("ascii", errors="replace").splitlines() if end >= 0 else []
-    if len(lines) != 2 or lines[0] != PARAMS_MAGIC or not lines[1].startswith("layers"):
-        raise ShapeMismatch(f"{path}: expected a '{PARAMS_MAGIC}' / 'layers ...' header "
-                            "ended by a blank line")
-    try:
+    with reading(path):
+        raw = Path(path).read_bytes()
+        end = raw.find(b"\n\n")
+        lines = raw[:end].decode("ascii", errors="replace").splitlines() if end >= 0 else []
+        if len(lines) != 2 or lines[0] != PARAMS_MAGIC or not lines[1].startswith("layers"):
+            raise ShapeMismatch(f"expected a '{PARAMS_MAGIC}' / 'layers ...' header "
+                                "ended by a blank line")
         stored = [tuple(int(v) for v in tok.split("x")) for tok in lines[1].split()[1:]]
-    except ValueError:
-        raise ShapeMismatch(f"{path}: unreadable layer shapes {lines[1]!r}") from None
-    if stored != spec.layer_dims():
-        raise ShapeMismatch(f"{path}: stored shapes {stored} do not match spec "
-                            f"{spec.layer_dims()}")
-    body = raw[end + 2:]
-    if len(body) != spec.n_params * 8:
-        raise ShapeMismatch(f"{path}: expected {spec.n_params * 8} parameter bytes "
-                            f"({spec.n_params} float64), found {len(body)}")
+        if stored != spec.layer_dims():
+            raise ShapeMismatch(f"stored shapes {stored} do not match spec {spec.layer_dims()}")
+        body = raw[end + 2:]
+        if len(body) != spec.n_params * 8:
+            raise ShapeMismatch(f"expected {spec.n_params * 8} parameter bytes "
+                                f"({spec.n_params} float64), found {len(body)}")
     return ParamSet(spec, np.frombuffer(body, dtype="<f8").astype(np.float64))

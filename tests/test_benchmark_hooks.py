@@ -1,23 +1,33 @@
-"""The program names the benchmark looks up by name must exist.
+"""The program names the benchmark looks up by name must exist, and its
+workload configs must pass the program's validation.
 
 ``benchmark/tracing.py`` wraps each ``(module, attribute)`` of ``TRACED``
 for ``--trace 1``, and the output checks call ``datagen.truth_skeleton``.
-A rename or deletion in ``cdgm`` would break those runs without failing
-any other test.
+A rename or deletion in ``cdgm``, or a setting check that rejects a
+workload, would break those runs without failing any other test.
 """
 
+import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+import pytest
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+@functools.cache
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+    return _load("tracing").TRACED
 
 
 def test_benchmark_hooks_exist():
@@ -28,3 +38,10 @@ def test_benchmark_hooks_exist():
                if not callable(getattr(importlib.import_module(f"cdgm.{mod}"), attr, None))]
     assert not missing
     assert ("metrics", "auroc") in hooks and ("graphops", "normalize") in hooks
+
+
+@pytest.mark.parametrize("name", _load("workloads").WORKLOADS)
+def test_benchmark_workload_configs_are_valid(tmp_path, name):
+    # the config a benchmark replicate runs, built as the benchmark builds it
+    cfg = _load("workloads").experiment_config(name, 1000, tmp_path)
+    assert cfg.replicates == 1 and cfg.seeds == (1000,)

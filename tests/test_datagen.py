@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgm import datagen
-from cdgm.errors import CdgmError, CyclicGraph, ShapeMismatch
+from cdgm.errors import CdgmError, CyclicGraph, ShapeMismatch, UsageError
 from cdgm.numerics import cholesky, seeded_rng
 
 
@@ -357,7 +357,7 @@ def test_generate_dataset_shapes_and_split_check():
     ds = datagen.generate_dataset(spec, 60, (40, 10, 10))
     assert ds.X.shape == (60, 10) and ds.Z.shape == (60, 2)
     assert ds.part("train")[0].shape == (40, 10)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         datagen.generate_dataset(spec, 60, (50, 10, 10))
 
 
@@ -471,7 +471,7 @@ def test_dataset_roundtrip_keeps_every_generator_option(tmp_path, setting, optio
     ("offdiag_value", np.inf), ("noise_sd", -1.0), ("noise_sd", 0.0), ("noise_sd", np.nan)])
 def test_setting_spec_range_checks_options_the_setting_does_not_read(option, value):
     # D1 reads none of these but noise_sd; every option is checked anyway
-    with pytest.raises(ShapeMismatch, match=f"^{option} must"):
+    with pytest.raises(UsageError, match=f"^{option} must"):
         datagen.make_setting("D1", **{"seed": 0, option: value})
 
 
@@ -482,7 +482,7 @@ def test_load_dataset_rejects_wrong_file_length(tmp_path, name, cut):
     path = tmp_path / "d" / name
     path.write_bytes(path.read_bytes()[:-cut])
     cols = 6 if name == "X.f64" else 2
-    with pytest.raises(ShapeMismatch, match=f"{name}: expected {50 * cols * 8} bytes"):
+    with pytest.raises(CdgmError, match=f"{name}: ShapeMismatch: expected {50 * cols * 8} bytes"):
         datagen.load_dataset(tmp_path / "d")
 
 
@@ -494,7 +494,7 @@ def test_load_dataset_rejects_non_finite_values(tmp_path, name, bad):
     values = np.fromfile(path, dtype="<f8").reshape(50, -1)
     values[[23, 41], 1] = bad
     values.tofile(path)
-    with pytest.raises(ShapeMismatch, match=f"{name}: row 23 holds NaN or inf"):
+    with pytest.raises(CdgmError, match=f"{name}: ShapeMismatch: row 23 holds NaN or inf"):
         datagen.load_dataset(tmp_path / "d")
 
 
@@ -518,7 +518,7 @@ def test_load_dataset_rejects_an_undeclared_generator_key(tmp_path, key):
     meta = json.loads(meta_path.read_text())
     meta["generator"][key] = 7
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ShapeMismatch, match=f"meta.json: 'generator' holds '{key}'"):
+    with pytest.raises(CdgmError, match=f"meta.json: TypeError: .*'{key}'"):
         datagen.load_dataset(tmp_path / "d")
 
 
@@ -558,7 +558,8 @@ def test_load_dataset_rejects_splits_that_do_not_cover_n(tmp_path, splits):
     meta = json.loads(meta_path.read_text())
     meta["splits"] = dict(zip(("train", "val", "test"), splits))
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ShapeMismatch, match=r"meta.json: splits .* must be >= 0 and sum to 120"):
+    with pytest.raises(CdgmError,
+                       match=r"meta.json: UsageError: splits .* must be >= 0 and sum to 120"):
         datagen.load_dataset(tmp_path / "d")
 
 
@@ -568,7 +569,7 @@ def test_generate_dataset_rejects_splits_that_do_not_cover_n(splits):
     # and 60.7/20.9/20 was cut to 60/20/20
     spec = datagen.make_setting("G1", seed=1, p=6)
     rule = r"^splits .* must be >= 0 and sum to 100 as integers$"
-    with pytest.raises(ShapeMismatch, match=rule):
+    with pytest.raises(UsageError, match=rule):
         datagen.generate_dataset(spec, 100, splits)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -12,19 +13,19 @@ import numpy as np
 import pytest
 
 from cdgm import baselines, cli, datagen, estimator, graphops, harness
-from cdgm.errors import ShapeMismatch, UsageError
+from cdgm.errors import UsageError
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         harness.ExperimentConfig(setting="G9")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         harness.ExperimentConfig(setting="G1", replicates=2, seeds=(1, 1))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         harness.ExperimentConfig(setting="G1", replicates=2, seeds=(1,))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         harness.ExperimentConfig(setting="G1", methods=("glasso",))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         harness.ExperimentConfig(setting="G1", thresholds=(0.2, 0.1))
     cfg = harness.ExperimentConfig(setting="G1", replicates=2, seeds=(1, 2))
     assert cfg.thresholds == harness.DEFAULT_THRESHOLDS
@@ -311,7 +312,7 @@ def test_cli_baseline_rejects_nan_in_data_at_load(tmp_path):
                            str(tmp_path / "d"), "--out", str(tmp_path / "r")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
-    assert "X.f64: row 37 holds NaN or inf" in proc.stderr
+    assert "X.f64: ShapeMismatch: row 37 holds NaN or inf" in proc.stderr
     assert not (tmp_path / "r").exists()
 
 
@@ -542,7 +543,7 @@ def test_cli_generate_bad_splits_exit_one(tmp_path, splits):
                            "--n", "100", "--p", "6", "--out", str(tmp_path / "d"),
                            f"--splits={splits}"], capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("usage error: --splits")
+    assert re.match(r"usage error: (argument --)?splits", proc.stderr)
     assert not (tmp_path / "d").exists()
 
 

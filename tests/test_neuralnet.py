@@ -3,7 +3,7 @@ import pytest
 
 import cdgm.neuralnet as nn
 from cdgm import estimator
-from cdgm.errors import NonFiniteGradient, ShapeMismatch
+from cdgm.errors import CdgmError, NonFiniteGradient, ShapeMismatch, UsageError
 from cdgm.numerics import seeded_rng
 
 
@@ -12,9 +12,9 @@ def small_spec(dropout=0.0):
 
 
 def test_spec_validation():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         nn.MlpSpec(input_dim=2, block1=(4,), block2=(), output_dim=6, dropout=1.0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UsageError):
         nn.MlpSpec(input_dim=2, block1=(0,), block2=(), output_dim=6)
 
 
@@ -278,7 +278,7 @@ def test_params_roundtrip(tmp_path):
     back = nn.load_params(path, spec)
     assert np.array_equal(back.flat, params.flat)
     other = nn.MlpSpec(input_dim=3, block1=(4, 2), block2=(5,), output_dim=6)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(CdgmError, match="net.bin: ShapeMismatch: stored shapes"):
         nn.load_params(path, other)
 
 
@@ -297,5 +297,5 @@ def test_load_params_rejects_damaged_file(tmp_path, damage):
            "odd_length": raw[:-3],
            "extra": raw + bytes(8)}[damage]
     path.write_bytes(raw)
-    with pytest.raises(ShapeMismatch, match="net.bin"):
+    with pytest.raises(CdgmError, match="net.bin"):
         nn.load_params(path, spec)
