@@ -185,6 +185,8 @@ def cmd_baseline(args) -> int:
              "export_paths": args.export_paths}
     baselines.LassoConfig(**lasso)  # before any data is read
     ds = datagen.load_dataset(args.data)
+    if not ds.splits[0]:  # else ExperimentConfig names n_train, a key the user never typed
+        raise UsageError(f"{Path(args.data, 'meta.json')} splits {ds.splits} have no train set")
     cfg = harness.ExperimentConfig(  # checks --pseudo-moral against the setting too
         setting=ds.spec.setting, seeds=(ds.spec.seed,), methods=("nodewise-lasso",),
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],

@@ -19,6 +19,34 @@ def test_soft_threshold_vectorized_exact_zeros():
     assert not np.signbit(out[2:]).any()  # no negative zeros in exported paths
 
 
+@pytest.mark.parametrize("v, lam", [
+    (np.array([0.5, -0.5, 1.5, -1.5, 0.25]), 0.5),  # ties at exactly +-lam
+    (np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.5, 0.5, 1e-300, 1e-300])),
+    (np.array([0.0, -0.0, 3.0, -3.0]), np.inf),  # the pinned self-coefficient
+    (np.array([np.nan, 1.0, -np.nan]), 0.5),
+    (np.array([1.0, -2.0]), np.nan),
+    (2.0, 0.5),
+    (-0.0, 0.5),
+    (np.linspace(-2.0, 2.0, 9)[:, None], np.array([0.5, 1.0, np.inf])),  # broadcast
+])
+def test_soft_threshold_is_max_then_min_byte_for_byte(v, lam):
+    ref = np.asarray(v - np.minimum(np.maximum(v, -lam), lam))
+    out = np.asarray(baselines.soft_threshold(v, lam))
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_soft_threshold_zero_penalty_keeps_no_negative_zero():
+    # max then min would keep -0.0 here; clip returns sign(-0.0) * 0 = +0.0
+    out = baselines.soft_threshold(np.array([-0.0, 0.0, -1.0]), 0.0)
+    assert out.tobytes() == np.array([0.0, 0.0, -1.0]).tobytes()
+
+
+def test_kernel_clip_is_the_three_input_ufunc():
+    assert isinstance(baselines._clip, np.ufunc)
+    assert baselines._clip.nin == 3
+
+
 def test_lasso_null_model_above_lambda_max():
     gen = np.random.default_rng(0)
     x = gen.normal(size=(50, 6))

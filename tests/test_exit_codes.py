@@ -51,7 +51,7 @@ def root(tmp_path_factory):
 # key, for exit 2 the file it starts with); "{root}" is the fixture's directory
 CASES = {
     "baseline-empty-train": ("baseline --data {root}/no-train --out {root}/out", {}, 1,
-                             "n_train must be >= 1"),
+                             "{root}/no-train/meta.json splits (0, 50, 50)"),
     "train-empty-val": ("train --data {root}/no-val --out {root}/out", {}, 1,
                         "splits must be nonempty, got (90, 0, 10)"),
     "eval-p8-model-on-p6-data": (

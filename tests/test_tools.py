@@ -19,3 +19,15 @@ def test_artifact_digests_names_pythonpath_when_cdgm_is_missing(tmp_path):
     assert run.stdout == ""
     assert run.stderr.count("\n") == 1
     assert f"PYTHONPATH={ROOT / 'src'}" in run.stderr
+
+
+def test_artifact_digests_needs_the_blas_thread_count_pinned(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_digests.py")],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.count("\n") == 1
+    assert "OPENBLAS_NUM_THREADS" in run.stderr
+    assert not any(tmp_path.iterdir())

@@ -37,7 +37,10 @@ trees write the same artifacts exactly when they print the same lines
     diff old.txt new.txt
 
 When no ``cdgm`` is importable it prints one line naming
-``PYTHONPATH=<tree>/src`` to standard error and exits 2.
+``PYTHONPATH=<tree>/src`` to standard error and exits 2. So it does, with
+a line naming ``OPENBLAS_NUM_THREADS``, when that variable is unset: the
+digests depend on the BLAS thread count, so an unpinned run compares with
+nothing.
 
 For a change that moves work between threads, diff at both
 ``OPENBLAS_NUM_THREADS=1`` and ``=2``: the two thread counts print
@@ -52,6 +55,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -212,6 +216,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--work", help="keep the artifacts in this directory")
     args = ap.parse_args(argv)
+    if not os.environ.get("OPENBLAS_NUM_THREADS"):
+        print("artifact_digests: set OPENBLAS_NUM_THREADS (1 or 2); the digests depend on "
+              "the BLAS thread count", file=sys.stderr)
+        return 2
     for setting in datagen.SETTING_IDS:
         for seed in GENERATED_SEEDS:
             print(f"{generation_digest(setting, seed)}  generate/{setting}-{seed}", flush=True)
