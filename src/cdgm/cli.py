@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 usage error (a bad argument or setting: ``UsageError``)
 from __future__ import annotations
 
 import argparse
+import decimal
+import functools
 import json
+import math
 import sys
 import types
 import typing
@@ -30,20 +33,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _cast(tp, key: str, text: str):
-    """``text`` as a value of the declared type ``tp``, with an unreadable
-    value as a usage error naming ``key``. A tuple is a comma-separated
-    list and a bool is ``true`` or ``false``."""
+def _int(text: str) -> int:
+    """An ``int()`` literal, or a decimal literal of a whole value within float
+    range, read exactly: ``1e4`` is 10000 and ``1e23`` is 10**23."""
+    try:
+        return int(text)
+    except ValueError:
+        if not math.isfinite(float(text)):  # abc raises here, 1e400 and nan below
+            raise
+        value = decimal.Decimal(text)
+        if value != value.to_integral_value():  # 12.5
+            raise
+        return int(value)
+
+
+def _cast(tp, where: str, text: str):
+    """``text`` as a value of the declared type ``tp``, for config values and
+    flags alike, with an unreadable value as a usage error that starts with
+    ``where``. An int is read by ``_int``, a bool is ``true`` or ``false``
+    and a tuple is a comma-separated list of its item type."""
     if typing.get_origin(tp) is tuple:
-        return tuple(_cast(typing.get_args(tp)[0], key, v.strip())
+        return tuple(_cast(typing.get_args(tp)[0], where, v.strip())
                      for v in text.split(",") if v.strip())
     if typing.get_origin(tp) is types.UnionType:  # ``int | None``: a value is never None
         tp = typing.get_args(tp)[0]
     try:
-        return {"true": True, "false": False}[text.lower()] if tp is bool else tp(text)
-    except (KeyError, ValueError):
-        raise UsageError(f"config key {key!r}: {text!r} is not a valid "
-                         f"{tp.__name__}") from None
+        return {"true": True, "false": False}[text.lower()] if tp is bool else \
+            (_int if tp is int else tp)(text)
+    except (KeyError, ValueError):  # argparse passes this UsageError on, so main reports it
+        raise UsageError(f"{where}: {text!r} is not a valid {tp.__name__}") from None
 
 
 def _config_keys() -> dict[str, tuple[str | None, str, object]]:
@@ -90,7 +108,7 @@ def parse_config_file(path) -> harness.ExperimentConfig:
             known = [k for k in keys if k.rpartition(".")[0] == prefix] or list(keys)
             raise UsageError(f"unknown config key {key!r}; known keys: {', '.join(known)}")
         group, name, tp = keys[key]
-        (cfg[group] if group else cfg)[name] = _cast(tp, key, value)
+        (cfg[group] if group else cfg)[name] = _cast(tp, f"config key {key!r}", value)
     if "setting" not in cfg:
         raise UsageError("config must define 'setting'")
     return harness.ExperimentConfig(**cfg)
@@ -109,18 +127,10 @@ def _threshold(text: str) -> float:
     return tau
 
 
-def _integers(text: str) -> list[int]:
-    """A comma list of integers, each also writable like ``1e5``."""
-    values = [float(v) for v in text.split(",")]  # a ValueError is a usage error too
-    if not all(v.is_integer() for v in values):  # 12.5, inf and nan are not
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers")
-    return [int(v) for v in values]
-
-
-def _split_sizes(n: int, splits: list[int] | None) -> tuple[int, int, int]:
+def _split_sizes(n: int, splits: tuple[int, ...] | None) -> tuple[int, int, int]:
     """``--splits`` under ``datagen``'s split rule, or the default splits:
     ``ExperimentConfig``'s validation and test sizes, the rest for training."""
-    if splits:
+    if splits is not None:
         return datagen._checked_splits(splits, n)
     val, test = harness.ExperimentConfig.n_val, harness.ExperimentConfig.n_test
     if n <= val + test:
@@ -129,9 +139,8 @@ def _split_sizes(n: int, splits: list[int] | None) -> tuple[int, int, int]:
 
 
 def cmd_generate(args) -> int:
-    options = {k: v for k, v in (("p", args.p), ("noise_sd", args.noise_sd)) if v is not None}
-    spec = datagen.SettingSpec(args.setting, seed=args.seed, **options)
-    datagen.check_options_read(args.setting, options)
+    spec = datagen.SettingSpec(args.setting, **args.fields)
+    datagen.check_options_read(args.setting, [k for k in args.fields if k != "seed"])
     splits = _split_sizes(args.n, args.splits)
     ds = datagen.generate_dataset(spec, args.n, splits)
     datagen.save_dataset(ds, args.out, csv=args.csv)
@@ -140,17 +149,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {"family": args.family, "seed": args.seed}
-    overrides.update((k, v) for k, v in (("epochs", args.epochs), ("lr", args.lr))
-                     if v is not None)
-    estimator.TrainConfig(**overrides)  # before any data is read
+    estimator.TrainConfig(**args.fields)  # before any data is read
     ds = datagen.load_dataset(args.data)
-    cfg = estimator.default_train_config(ds.spec.setting, **overrides)
+    cfg = estimator.default_train_config(ds.spec.setting, **args.fields)
     model, history = estimator.train(ds, cfg)
     estimator.save_model(model, args.out)
     write_atomic(Path(args.out) / "history.json", json.dumps(asdict(history), indent=2) + "\n")
     best_val = min([history.init_val_loss] + history.val_loss)
-    print(f"trained {args.family} model for {ds.spec.setting}; "
+    print(f"trained {cfg.family} model for {ds.spec.setting}; "
           f"best epoch {history.best_epoch}, val MSE {best_val:.6g}")
     return 0
 
@@ -181,16 +187,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    lasso = {"n_lambdas": args.n_lambdas, "lambda_min_ratio": args.lambda_min_ratio,
-             "export_paths": args.export_paths}
-    baselines.LassoConfig(**lasso)  # before any data is read
+    baselines.LassoConfig(**args.fields)  # before any data is read
     ds = datagen.load_dataset(args.data)
     if not ds.splits[0]:  # else ExperimentConfig names n_train, a key the user never typed
         raise UsageError(f"{Path(args.data, 'meta.json')} splits {ds.splits} have no train set")
     cfg = harness.ExperimentConfig(  # checks --pseudo-moral against the setting too
         setting=ds.spec.setting, seeds=(ds.spec.seed,), methods=("nodewise-lasso",),
         n_train=ds.splits[0], n_val=ds.splits[1], n_test=ds.splits[2],
-        pseudo_moral=args.pseudo_moral, lasso=lasso, out_dir=args.out)
+        pseudo_moral=args.pseudo_moral, lasso=args.fields, out_dir=args.out)
     res = harness.fit_eval_lasso(cfg, ds)
     summary = {k: metrics.mean(v) for k, v in res["per_sample"].items()}
     summary["best_lambdas"] = res["best_lambdas"]
@@ -202,20 +206,20 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if not (args.fields["n"] and args.fields["p"]):  # else the table has no rows
+        raise UsageError("bounds needs at least one --n and one --p value")
     print("order-level diagnostics (hidden constants set to 1); "
           "values indicate scaling, not certified bounds")
     header = f"{'n':>12} {'p':>6} {'gen_term':>12} {'rate':>12} {'rate_smooth':>12} {'depth':>6} {'width':>8}"
     print(header)
-    for n in args.n:
-        for p in args.p:
-            inp = theory.BoundInputs(n=n, p=p, q=args.q, smoothness=args.m,
-                                     strong_convexity=args.alpha, delta=args.delta,
-                                     pseudo_dim=args.pseudo_dim)
+    for n in args.fields["n"]:
+        for p in args.fields["p"]:
+            inp = theory.BoundInputs(**{**args.fields, "n": n, "p": p})
             gen = theory.generalization_error_term(inp)
             rate = theory.excess_risk_rate(inp, mode="lipschitz")
             rate_s = theory.excess_risk_rate(inp, mode="smooth")
             if 0.0 < rate < 1.0:
-                depth, width = theory.network_size_for_rate(args.m, args.q, rate)
+                depth, width = theory.network_size_for_rate(inp.smoothness, inp.q, rate)
                 size = f"{depth:>6d} {width:>8d}"
             else:
                 size = f"{'-':>6} {'-':>8}"
@@ -243,30 +247,51 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Field(argparse.Action):
+    """Stores a flag's value in ``args.fields`` under the name of the declared
+    field it sets, so that only the flags the user gave reach the declaration."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.fields = {**namespace.fields, self.dest: self.const if self.nargs == 0 else values}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cdgm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    declared = {key: tp for key, (_, _, tp) in _config_keys().items()}
+    for cls in (datagen.SettingSpec, estimator.TrainConfig, theory.BoundInputs):
+        declared.update((f"{cls.__name__}.{name}", tp)
+                        for name, tp in typing.get_type_hints(cls).items())
+
+    # ``flag`` sets the field that the config key (or ``Class.field``) ``key`` names, read
+    # as its declared type (a list of it for a ``grid``); a bool field's flag takes no value
+    def field(command, flag, key, note="", grid=False, **kwargs):
+        tp = tuple[declared[key], ...] if grid else declared[key]
+        read = dict(nargs=0, const=True) if tp is bool else \
+            dict(type=functools.partial(_cast, tp, f"argument {flag}"))
+        command.add_argument(flag, action=_Field, dest=key.rpartition(".")[2],
+                             default=argparse.SUPPRESS, help=f"sets {key}{note}", **read, **kwargs)
 
     g = sub.add_parser("generate", help="generate a synthetic dataset")
     g.add_argument("--setting", required=True, choices=datagen.SETTING_IDS)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=datagen.SettingSpec.seed)
+    g.add_argument("--n", type=functools.partial(_cast, int, "argument --n"), required=True)
+    field(g, "--seed", "SettingSpec.seed")
     g.add_argument("--out", required=True)
-    g.add_argument("--splits", type=_integers, default=None, help="train,val,test sizes")
-    g.add_argument("--noise-sd", type=float, dest="noise_sd", help="D1 and D2 only")
-    g.add_argument("--p", type=int, help="node-count override")
+    g.add_argument("--splits", type=functools.partial(_cast, tuple[int, ...], "argument --splits"),
+                   help="train,val,test sizes")
+    field(g, "--noise-sd", "gen.noise_sd", "; D1 and D2 only")
+    field(g, "--p", "gen.p", "; the node count")
     g.add_argument("--csv", action="store_true")
-    g.set_defaults(fn=cmd_generate)
+    g.set_defaults(fn=cmd_generate, fields={})
 
     t = sub.add_parser("train", help="fit the coefficient network")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--family", choices=estimator.MODEL_FAMILIES,
-                   default=estimator.TrainConfig.family)
-    t.add_argument("--seed", type=int, default=estimator.TrainConfig.seed)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.set_defaults(fn=cmd_train)
+    field(t, "--family", "TrainConfig.family", choices=estimator.MODEL_FAMILIES)
+    field(t, "--seed", "dnn.seed")
+    field(t, "--epochs", "dnn.epochs")
+    field(t, "--lr", "dnn.lr")
+    t.set_defaults(fn=cmd_train, fields={})
 
     e = sub.add_parser("eval", help="score a trained model on the test split")
     e.add_argument("--data", required=True)
@@ -281,26 +306,24 @@ def build_parser() -> _Parser:
     b = sub.add_parser("baseline", help="nodewise lasso per covariate cluster")
     b.add_argument("--data", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--n-lambdas", type=int, default=baselines.LassoConfig.n_lambdas)
-    b.add_argument("--lambda-min-ratio", type=float,
-                   default=baselines.LassoConfig.lambda_min_ratio)
-    b.add_argument("--export-paths", action="store_true", dest="export_paths",
-                   help="write one penalty-path CSV per cluster")
+    field(b, "--n-lambdas", "lasso.n_lambdas")
+    field(b, "--lambda-min-ratio", "lasso.lambda_min_ratio")
+    field(b, "--export-paths", "lasso.export_paths", ": one penalty-path CSV per cluster")
     b.add_argument("--pseudo-moral", action="store_true", dest="pseudo_moral")
-    b.set_defaults(fn=cmd_baseline)
+    b.set_defaults(fn=cmd_baseline, fields={})
 
     d = sub.add_parser("bounds", help="closed-form scaling diagnostics")
+    field(d, "--n", "BoundInputs.n", "; a comma list", grid=True)
+    field(d, "--p", "BoundInputs.p", "; a comma list", grid=True)
+    field(d, "--q", "BoundInputs.q")
+    field(d, "--m", "BoundInputs.smoothness")
+    field(d, "--alpha", "BoundInputs.strong_convexity",
+          "; 0.5 if not given: at BoundInputs' 1, log(1/alpha) = 0 and every rate is 0")
+    field(d, "--delta", "BoundInputs.delta")
+    field(d, "--pseudo-dim", "BoundInputs.pseudo_dim")
     bound = theory.BoundInputs
-    d.add_argument("--n", type=_integers, default=[bound.n], help="comma list, scientific ok")
-    d.add_argument("--p", type=_integers, default=[bound.p], help="comma list")
-    d.add_argument("--q", type=int, default=bound.q)
-    d.add_argument("--m", type=float, default=bound.smoothness)
-    d.add_argument("--alpha", type=float, default=0.5,
-                   help="strong convexity; 0.5, not BoundInputs' 1: at alpha = 1, "
-                        "log(1/alpha) = 0 and every rate prints 0")
-    d.add_argument("--delta", type=float, default=bound.delta)
-    d.add_argument("--pseudo-dim", type=float, default=bound.pseudo_dim, dest="pseudo_dim")
-    d.set_defaults(fn=cmd_bounds)
+    d.set_defaults(fn=cmd_bounds, fields={"n": (bound.n,), "p": (bound.p,),
+                                          "strong_convexity": 0.5})
 
     x = sub.add_parser("experiment", help="full multi-replicate pipeline")
     x.add_argument("--config", required=True)

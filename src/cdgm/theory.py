@@ -9,7 +9,7 @@ bounds. The CLI labels them accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -45,7 +45,27 @@ def _require(cond: bool, message: str):
         raise DomainError(message)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is finite as a float: an int past float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _evaluated(formula, what: str, b: BoundInputs) -> float:
+    """``formula()``, or a DomainError naming ``b`` when ``what`` leaves float range."""
+    try:
+        value = formula()
+    except OverflowError:  # a float power, or an int too large for a float
+        value = math.inf
+    _require(math.isfinite(value), f"{what} overflows a float at {b}")
+    return value
+
+
 def _common_checks(b: BoundInputs):
+    for f in fields(b):
+        _require(_finite(getattr(b, f.name)), f"{f.name} must be finite and within float range")
     _require(b.n > 0 and b.p >= 1 and b.q >= 1, "n, p, q must be positive")
     _require(b.lipschitz > 0 and b.strong_convexity > 0, "loss constants must be positive")
     _require(0.0 < b.delta < 1.0, "failure probability must lie in (0, 1)")
@@ -67,13 +87,13 @@ def excess_risk_rate(b: BoundInputs, mode: str = "lipschitz") -> float:
         exponent = b.smoothness / (2.0 * b.smoothness + b.q)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    base = (
+    base = _evaluated(lambda: (
         b.lipschitz * b.smoothness ** 4 * b.q ** 6 * b.p ** 2
         * math.log(b.n * b.lipschitz * b.p) ** 2
         * math.log(b.p)
         * math.log(1.0 / b.delta)
         * math.log(1.0 / b.strong_convexity)
-    ) / (b.strong_convexity * b.n)
+    ) / (b.strong_convexity * b.n), "the rate", b)
     _require(base >= 0.0, "rate base is negative (strong convexity > 1?)")
     return base ** exponent
 
@@ -90,8 +110,12 @@ def network_size_for_rate(m: float, q: int, rate: float) -> tuple[int, int]:
     _require(m > 0 and q >= 1, "m and q must be positive")
     _require(q < 20, "q must be below 20: the width would exceed 2**53")
     _require(0.0 < rate < 1.0, "rate must lie in (0, 1)")
-    depth = math.ceil(rate ** (-q / (2.0 * m)) - 1e-9)
-    width = math.ceil((2.0 * math.e) ** q * _binom(m + q, q) * q * q - 1e-9)
+    try:
+        depth = math.ceil(rate ** (-q / (2.0 * m)) - 1e-9)
+        width = math.ceil((2.0 * math.e) ** q * _binom(m + q, q) * q * q - 1e-9)
+    except OverflowError:  # a float power, or the ceiling of inf
+        raise DomainError(f"the network size at m = {m}, q = {q} and rate {rate} "
+                          "overflows a float") from None
     return depth, width
 
 
@@ -119,11 +143,11 @@ def generalization_error_term(b: BoundInputs) -> float:
     """Estimation-error component: L^2 d_P p^2 log(nLp) log(1/delta) / (alpha n)."""
     _common_checks(b)
     _require(b.pseudo_dim > 0, "pseudo-dimension must be positive")
-    return (
+    return _evaluated(lambda: (
         b.lipschitz ** 2 * b.pseudo_dim * b.p ** 2
         * math.log(b.n * b.lipschitz * b.p)
         * math.log(1.0 / b.delta)
-    ) / (b.strong_convexity * b.n)
+    ) / (b.strong_convexity * b.n), "the generalization term", b)
 
 
 def edge_recovery_bound(b: BoundInputs, approx_error: float) -> float:

@@ -70,6 +70,11 @@ CASES = {
                               "G1 does not read gen.noise_sd"),
     "threads-zero": ("experiment --config {root}/threads.cfg", {"CDGM_THREADS": "0"}, 1,
                      "CDGM_THREADS"),
+    # bounds arguments whose rate is past float range: these exited 2
+    "bounds-q-past-float-range": ("bounds --q 1" + "0" * 400, {}, 1,
+                                  "q must be finite and within float range"),
+    "bounds-m-1e308": ("bounds --m 1e308", {}, 1, "smoothness=1e+308"),
+    "bounds-alpha-inf": ("bounds --alpha inf", {}, 1, "strong_convexity must be finite"),
 }
 
 

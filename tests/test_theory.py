@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,3 +158,17 @@ def test_input_validation():
         theory.excess_risk_rate(inputs(n=-5))
     with pytest.raises(DomainError):
         theory.edge_recovery_bound(inputs(eta=0.0, strong_min=0.5, weak_max=0.1), 0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: theory.excess_risk_rate(inputs(strong_convexity=math.inf)),
+     "strong_convexity must be finite"),
+    (lambda: theory.edge_recovery_bound(inputs(eta=math.nan), 0.0), "eta must be finite"),
+    (lambda: theory.excess_risk_rate(inputs(q=10 ** 400)), "q must be finite"),
+    (lambda: theory.excess_risk_rate(inputs(p=10 ** 200)), "the rate overflows a float at"),
+    (lambda: theory.generalization_error_term(inputs(pseudo_dim=1e308, p=10 ** 100)),
+     "the generalization term overflows a float at"),
+    (lambda: theory.network_size_for_rate(1e20, 19, 0.5), "the network size at m = 1e+20")])
+def test_non_finite_input_or_result_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -28,7 +28,8 @@ file they write under ``cli/``: the dataset's ``meta.json``, ``X.f64``,
 the eval's ``histogram.csv`` and ``baseline.json``, one line each, then
 one digest of the sorted edge-list files and one of the sorted path
 CSVs. Last it prints the digest of ``cdgm bounds``' stdout at
-its defaults and at ``--alpha 1``, one line each. Two source
+its defaults, at ``--alpha 1`` and at README's ``--n 1e5,1e6 --p 25,50
+--q 2 --m 2``, one line each. Two source
 trees write the same artifacts exactly when they print the same lines
 (the bits depend on the BLAS setup, so pin it):
 
@@ -173,8 +174,9 @@ CLI_ARTIFACTS = ("data/meta.json", "data/X.f64", "data/Z.f64", "data/X.csv", "da
 CLI_GROUPS = ("eval/edges/*.csv", "baseline/lasso_path_*.csv")
 
 
-# ``cdgm bounds`` at its defaults, and at BoundInputs' own strong convexity.
-BOUNDS_RUNS = ((), ("--alpha", "1"))
+# ``cdgm bounds`` at its defaults, at BoundInputs' own strong convexity, and
+# README's grid, whose ``--n`` is written in scientific notation.
+BOUNDS_RUNS = ((), ("--alpha", "1"), ("--n", "1e5,1e6", "--p", "25,50", "--q", "2", "--m", "2"))
 
 
 def generation_digest(setting: str, seed: int) -> str:
